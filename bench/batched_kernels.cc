@@ -67,19 +67,36 @@ void BM_TransposeThenMatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_TransposeThenMatMul)->Arg(16)->Arg(64);
 
-// The batched-forward shape: Z = X W^T with W kept row-major.
+// The batched-forward shape Z = X W^T at the 64x64 actor layer, through
+// each forward-kernel variant (arg 0: 0 scalar, 1 avx2) at row counts
+// around math::kForwardPackMinRows. The avx2 time includes the per-call
+// pack of W^T; the smallest row count where it beats scalar sets the
+// threshold.
 void BM_MatMulTransposeB(benchmark::State& state) {
-  const size_t batch = static_cast<size_t>(state.range(0));
+  using eadrl::math::ForwardKernel;
+  const auto kernel = static_cast<ForwardKernel>(state.range(0));
+  if (kernel == ForwardKernel::kAvx2 &&
+      eadrl::math::ForwardKernelFor(eadrl::math::kForwardPackMinRows) !=
+          ForwardKernel::kAvx2) {
+    state.SkipWithError("this CPU has no AVX2");
+    return;
+  }
+  const size_t batch = static_cast<size_t>(state.range(1));
   const eadrl::math::Matrix x = RandomMatrix(batch, 64, 14);
   const eadrl::math::Matrix w = RandomMatrix(64, 64, 15);
   eadrl::math::Matrix out;
   for (auto _ : state) {
-    x.MatMulTransposeBInto(w, &out);
-    benchmark::DoNotOptimize(out.data());
+    eadrl::math::MatMulTransposeBWith(kernel, x, w, &out);
+    benchmark::DoNotOptimize(out.data().data());
+    benchmark::ClobberMemory();
   }
+  state.SetLabel(eadrl::math::ForwardKernelName(kernel));
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      2.0 * static_cast<double>(batch * 64 * 64),
+      benchmark::Counter::kIsIterationInvariantRate);
   eadrl::bench::RegisterThreads(state, 1);
 }
-BENCHMARK(BM_MatMulTransposeB)->Arg(16)->Arg(64);
+BENCHMARK(BM_MatMulTransposeB)->ArgsProduct({{0, 1}, {1, 4, 8, 16, 64}});
 
 // One GEMM per layer over the whole batch...
 void BM_MlpForwardBatch(benchmark::State& state) {

@@ -172,6 +172,10 @@ class EadrlCombiner : public WeightedCombiner {
   /// max_episodes if it ran to completion.
   size_t converged_episode() const { return converged_episode_; }
 
+  /// Size of the pool the policy was trained over: the length every member
+  /// prediction vector passed to Predict must have.
+  size_t num_models() const { return num_models_; }
+
   /// Indices of the pool models the policy acts on (all, unless
   /// prune_top_n is set).
   const std::vector<size_t>& active_models() const { return active_models_; }

@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "chk/chk.h"
 #include "obs/resource.h"
@@ -20,7 +25,7 @@ inline void CountScratch(size_t doubles) {
 
 // Rows per register tile of the product kernels: four output rows share one
 // streamed row of the right-hand operand, so the inner loop is four
-// independent fused multiply-add chains over contiguous memory — wide enough
+// independent multiply-add chains over contiguous memory — wide enough
 // to keep vector units busy, narrow enough to stay in registers.
 constexpr size_t kRowBlock = 4;
 }  // namespace
@@ -193,35 +198,37 @@ Matrix Matrix::MatMulTransposeB(const Matrix& other) const {
 }
 
 void Matrix::MatMulTransposeBInto(const Matrix& other, Matrix* out) const {
-  // this is M x K, other is N x K; out = this * other^T is M x N.
-  EADRL_CHK_DIM(other.cols_, cols_, "Matrix::MatMulTransposeB column count");
-  EADRL_CHECK_EQ(cols_, other.cols_);
-  EADRL_CHECK(out != this && out != &other);
-  const size_t n = other.rows_;
-  out->Resize(rows_, n);
-  // Both operands are traversed along contiguous rows; out[i][j] is the dot
-  // of row i with row j, accumulated over k in ascending order. Four output
-  // columns per pass share each load of the left row (independent
-  // accumulator chains — the register tile).
-  for (size_t i = 0; i < rows_; ++i) {
-    const double* arow = &data_[i * cols_];
-    double* orow = &out->data_[i * n];
+  MatMulTransposeBWith(ForwardKernelFor(rows_), *this, other, out);
+}
+
+namespace {
+
+// out (M x N) = a (M x K) * b^T, b being N x K; all three row-major. The
+// reference: both operands are traversed along contiguous rows, out[i][j]
+// is the dot of row i with row j, accumulated over k in ascending order.
+// Four output columns per pass share each load of the left row (independent
+// accumulator chains).
+void MatMulTransposeBScalar(const double* a, const double* b, double* out,
+                            size_t m, size_t k_dim, size_t n) {
+  for (size_t i = 0; i < m; ++i) {
+    const double* arow = a + i * k_dim;
+    double* orow = out + i * n;
     size_t j = 0;
     for (; j + kRowBlock <= n; j += kRowBlock) {
-      const double* b0 = &other.data_[(j + 0) * cols_];
-      const double* b1 = &other.data_[(j + 1) * cols_];
-      const double* b2 = &other.data_[(j + 2) * cols_];
-      const double* b3 = &other.data_[(j + 3) * cols_];
+      const double* b0 = b + (j + 0) * k_dim;
+      const double* b1 = b + (j + 1) * k_dim;
+      const double* b2 = b + (j + 2) * k_dim;
+      const double* b3 = b + (j + 3) * k_dim;
       double s0 = 0.0;
       double s1 = 0.0;
       double s2 = 0.0;
       double s3 = 0.0;
-      for (size_t k = 0; k < cols_; ++k) {
-        const double a = arow[k];
-        s0 += a * b0[k];
-        s1 += a * b1[k];
-        s2 += a * b2[k];
-        s3 += a * b3[k];
+      for (size_t k = 0; k < k_dim; ++k) {
+        const double x = arow[k];
+        s0 += x * b0[k];
+        s1 += x * b1[k];
+        s2 += x * b2[k];
+        s3 += x * b3[k];
       }
       orow[j + 0] = s0;
       orow[j + 1] = s1;
@@ -229,11 +236,170 @@ void Matrix::MatMulTransposeBInto(const Matrix& other, Matrix* out) const {
       orow[j + 3] = s3;
     }
     for (; j < n; ++j) {
-      const double* brow = &other.data_[j * cols_];
+      const double* brow = b + j * k_dim;
       double s = 0.0;
-      for (size_t k = 0; k < cols_; ++k) s += arow[k] * brow[k];
+      for (size_t k = 0; k < k_dim; ++k) s += arow[k] * brow[k];
       orow[j] = s;
     }
+  }
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define EADRL_HAVE_AVX2_KERNEL 1
+#if defined(__clang__)
+// Clang has no optimize attribute; it contracts only within one source
+// expression, and the intrinsics below are separate ones.
+#define EADRL_NO_FP_CONTRACT
+#else
+#define EADRL_NO_FP_CONTRACT __attribute__((optimize("fp-contract=off")))
+#endif
+
+// Columns per register tile: two 4-double AVX2 vectors.
+constexpr size_t kColTile = 8;
+
+bool CpuHasAvx2() {
+  static const bool has = __builtin_cpu_supports("avx2") != 0;
+  return has;
+}
+
+// Stores the first `count` lanes of a column tile (fewer than kColTile in
+// the last tile of a row whose width is not a multiple of it).
+__attribute__((target("avx2"))) inline void StoreTile(double* dst, __m256d lo,
+                                                      __m256d hi,
+                                                      size_t count) {
+  if (count == kColTile) {
+    _mm256_storeu_pd(dst, lo);
+    _mm256_storeu_pd(dst + 4, hi);
+    return;
+  }
+  alignas(32) double tile[kColTile];
+  _mm256_store_pd(tile, lo);
+  _mm256_store_pd(tile + 4, hi);
+  std::memcpy(dst, tile, count * sizeof(double));
+}
+
+// The reference's sums, eight columns at a time: the panel holds b^T with
+// its rows padded to `stride` columns, so out[i][j..j+8) accumulates
+// a[i][k] * panel[k][j..j+8) over k ascending, one _mm256_mul_pd then one
+// _mm256_add_pd per step, from +0.0 -- exactly the scalar chain's
+// roundings. fp-contract=off (and no "fma" target) keeps the compiler from
+// fusing the pair; the padding columns are computed and never stored.
+__attribute__((target("avx2"))) EADRL_NO_FP_CONTRACT void MatMulPackedAvx2(
+    const double* a, const double* panel, double* out, size_t m, size_t k_dim,
+    size_t n, size_t stride) {
+  size_t i = 0;
+  for (; i + kRowBlock <= m; i += kRowBlock) {
+    const double* a0 = a + (i + 0) * k_dim;
+    const double* a1 = a + (i + 1) * k_dim;
+    const double* a2 = a + (i + 2) * k_dim;
+    const double* a3 = a + (i + 3) * k_dim;
+    for (size_t j = 0; j < n; j += kColTile) {
+      __m256d s0l = _mm256_setzero_pd(), s0h = _mm256_setzero_pd();
+      __m256d s1l = _mm256_setzero_pd(), s1h = _mm256_setzero_pd();
+      __m256d s2l = _mm256_setzero_pd(), s2h = _mm256_setzero_pd();
+      __m256d s3l = _mm256_setzero_pd(), s3h = _mm256_setzero_pd();
+      const double* p = panel + j;
+      for (size_t k = 0; k < k_dim; ++k, p += stride) {
+        const __m256d bl = _mm256_loadu_pd(p);
+        const __m256d bh = _mm256_loadu_pd(p + 4);
+        __m256d x = _mm256_set1_pd(a0[k]);
+        s0l = _mm256_add_pd(s0l, _mm256_mul_pd(x, bl));
+        s0h = _mm256_add_pd(s0h, _mm256_mul_pd(x, bh));
+        x = _mm256_set1_pd(a1[k]);
+        s1l = _mm256_add_pd(s1l, _mm256_mul_pd(x, bl));
+        s1h = _mm256_add_pd(s1h, _mm256_mul_pd(x, bh));
+        x = _mm256_set1_pd(a2[k]);
+        s2l = _mm256_add_pd(s2l, _mm256_mul_pd(x, bl));
+        s2h = _mm256_add_pd(s2h, _mm256_mul_pd(x, bh));
+        x = _mm256_set1_pd(a3[k]);
+        s3l = _mm256_add_pd(s3l, _mm256_mul_pd(x, bl));
+        s3h = _mm256_add_pd(s3h, _mm256_mul_pd(x, bh));
+      }
+      const size_t count = std::min(kColTile, n - j);
+      StoreTile(out + (i + 0) * n + j, s0l, s0h, count);
+      StoreTile(out + (i + 1) * n + j, s1l, s1h, count);
+      StoreTile(out + (i + 2) * n + j, s2l, s2h, count);
+      StoreTile(out + (i + 3) * n + j, s3l, s3h, count);
+    }
+  }
+  for (; i < m; ++i) {
+    const double* arow = a + i * k_dim;
+    for (size_t j = 0; j < n; j += kColTile) {
+      __m256d sl = _mm256_setzero_pd();
+      __m256d sh = _mm256_setzero_pd();
+      const double* p = panel + j;
+      for (size_t k = 0; k < k_dim; ++k, p += stride) {
+        const __m256d x = _mm256_set1_pd(arow[k]);
+        sl = _mm256_add_pd(sl, _mm256_mul_pd(x, _mm256_loadu_pd(p)));
+        sh = _mm256_add_pd(sh, _mm256_mul_pd(x, _mm256_loadu_pd(p + 4)));
+      }
+      StoreTile(out + i * n + j, sl, sh, std::min(kColTile, n - j));
+    }
+  }
+}
+
+// Packs b^T (K x N, rows padded to a multiple of kColTile with zeros) into
+// a per-thread panel on every call. Not cached: the weights change under
+// every Adam step, target soft update and reload, and the pack is cheap
+// next to the product once a call has kForwardPackMinRows rows.
+void MatMulTransposeBAvx2(const double* a, const double* b, double* out,
+                          size_t m, size_t k_dim, size_t n) {
+  thread_local std::vector<double> panel;
+  const size_t stride = (n + kColTile - 1) / kColTile * kColTile;
+  panel.resize(k_dim * stride);
+  for (size_t k = 0; k < k_dim; ++k) {
+    double* prow = panel.data() + k * stride;
+    for (size_t j = 0; j < n; ++j) prow[j] = b[j * k_dim + k];
+    std::fill(prow + n, prow + stride, 0.0);
+  }
+  MatMulPackedAvx2(a, panel.data(), out, m, k_dim, n, stride);
+}
+#endif
+
+}  // namespace
+
+ForwardKernel ForwardKernelFor(size_t rows) {
+#ifdef EADRL_HAVE_AVX2_KERNEL
+  if (rows >= kForwardPackMinRows && CpuHasAvx2()) return ForwardKernel::kAvx2;
+#else
+  (void)rows;
+#endif
+  return ForwardKernel::kScalar;
+}
+
+const char* ForwardKernelName(ForwardKernel kernel) {
+  switch (kernel) {
+    case ForwardKernel::kScalar:
+      return "scalar";
+    case ForwardKernel::kAvx2:
+      return "avx2";
+  }
+  return "unknown";
+}
+
+void MatMulTransposeBWith(ForwardKernel kernel, const Matrix& a,
+                          const Matrix& b, Matrix* out) {
+  // a is M x K, b is N x K; out = a * b^T is M x N.
+  EADRL_CHK_DIM(b.cols(), a.cols(), "Matrix::MatMulTransposeB column count");
+  EADRL_CHECK_EQ(a.cols(), b.cols());
+  EADRL_CHECK(out != &a && out != &b);
+  const size_t m = a.rows();
+  const size_t k_dim = a.cols();
+  const size_t n = b.rows();
+  out->Resize(m, n);
+  switch (kernel) {
+    case ForwardKernel::kScalar:
+      MatMulTransposeBScalar(a.data().data(), b.data().data(),
+                             out->data().data(), m, k_dim, n);
+      return;
+    case ForwardKernel::kAvx2:
+      EADRL_CHECK(ForwardKernelFor(kForwardPackMinRows) ==
+                  ForwardKernel::kAvx2);
+#ifdef EADRL_HAVE_AVX2_KERNEL
+      MatMulTransposeBAvx2(a.data().data(), b.data().data(),
+                           out->data().data(), m, k_dim, n);
+#endif
+      return;
   }
 }
 

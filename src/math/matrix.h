@@ -92,7 +92,9 @@ class Matrix {
                             bool accumulate = false) const;
 
   /// Fused this * other^T without materializing Transpose(). The batched
-  /// forward kernel (batch-major X times weight W gives X * W^T).
+  /// forward kernel (batch-major X times weight W gives X * W^T); the
+  /// variant it runs is ForwardKernelFor(rows()), every variant giving the
+  /// same bits.
   Matrix MatMulTransposeB(const Matrix& other) const;
   void MatMulTransposeBInto(const Matrix& other, Matrix* out) const;
 
@@ -126,6 +128,38 @@ class Matrix {
   size_t cols_ = 0;
   std::vector<double> data_;
 };
+
+/// The variants behind Matrix::MatMulTransposeBInto (see DESIGN.md §8).
+/// Each output element is `0.0 + a(i,0)*b(j,0) + ... + a(i,K-1)*b(j,K-1)`,
+/// k ascending, one rounding per multiply and per add, in every variant, so
+/// they agree bit for bit on every input, signed zeros and infinities
+/// included, and give NaN in the same places. (Which NaN, when two meet in
+/// an add, is the compiler's operand order, even for the scalar kernel.)
+enum class ForwardKernel {
+  /// Four dot-product chains over rows of `b`; the reference.
+  kScalar,
+  /// b^T packed per call into a K x N panel, then a 4-row x 8-column
+  /// register tile of AVX2 multiplies and adds (no FMA).
+  kAvx2,
+};
+
+/// Left-operand rows from which MatMulTransposeBInto packs b^T and takes
+/// the AVX2 kernel, when the CPU has AVX2. Below it the per-call pack costs
+/// more than the vector kernel saves (`BM_MatMulTransposeB` rows in
+/// bench/batched_kernels.cc).
+inline constexpr size_t kForwardPackMinRows = 8;
+
+/// The variant MatMulTransposeBInto runs on this host for a left operand of
+/// `rows` rows.
+ForwardKernel ForwardKernelFor(size_t rows);
+
+/// "scalar" or "avx2".
+const char* ForwardKernelName(ForwardKernel kernel);
+
+/// out = a * b^T through the given variant, bypassing the dispatch (for
+/// parity tests and benchmarks). kAvx2 requires a CPU with AVX2.
+void MatMulTransposeBWith(ForwardKernel kernel, const Matrix& a,
+                          const Matrix& b, Matrix* out);
 
 /// Row-wise softmax in place — each row is mapped through exactly the same
 /// max-shift/exp/normalize steps as math::Softmax, so a batched row equals

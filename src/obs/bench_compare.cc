@@ -141,6 +141,10 @@ std::string BenchSnapshotToJson(const BenchSnapshot& snapshot) {
   AppendKey(&out, "compiler");
   out += '"';
   AppendJsonEscaped(&out, snapshot.host.compiler);
+  out += "\",";
+  AppendKey(&out, "forward_kernel");
+  out += '"';
+  AppendJsonEscaped(&out, snapshot.host.forward_kernel);
   out += "\"},";
   AppendKey(&out, "benchmarks");
   out += "[";
@@ -254,6 +258,7 @@ StatusOr<BenchSnapshot> ParseBenchSnapshot(const std::string& text) {
     snapshot.host.checks =
         checks != nullptr && checks->is_bool() && checks->AsBool();
     snapshot.host.compiler = StringOr(*host, "compiler", "");
+    snapshot.host.forward_kernel = StringOr(*host, "forward_kernel", "");
   }
   const json::Value* benchmarks = doc->Find("benchmarks");
   if (benchmarks == nullptr || !benchmarks->is_array()) {
@@ -350,7 +355,10 @@ BenchComparison CompareBenchSnapshots(const BenchSnapshot& baseline,
       baseline.host.hardware_threads != current.host.hardware_threads ||
       baseline.host.build_type != current.host.build_type ||
       baseline.host.sanitizer != current.host.sanitizer ||
-      baseline.host.checks != current.host.checks;
+      baseline.host.checks != current.host.checks ||
+      (!baseline.host.forward_kernel.empty() &&
+       !current.host.forward_kernel.empty() &&
+       baseline.host.forward_kernel != current.host.forward_kernel);
 
   std::map<std::string, const BenchEntry*> base_by_name;
   for (const BenchEntry& entry : baseline.entries) {

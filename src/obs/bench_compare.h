@@ -41,6 +41,9 @@ struct BenchHost {
   std::string sanitizer;         ///< EADRL_SANITIZE mode, "" for none.
   bool checks = false;           ///< eadrl::chk contracts compiled in.
   std::string compiler;          ///< __VERSION__.
+  /// math::ForwardKernelName of the batched Dense-forward kernel; empty in
+  /// snapshots recorded before the field existed.
+  std::string forward_kernel;
 };
 
 /// A full perf snapshot: benchmark timings + the resource/span-profile view

@@ -112,93 +112,6 @@ void AppendJsonNumber(std::ostringstream* out, double v) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// StreamingQuantile (P-squared, Jain & Chlamtac 1985).
-// ---------------------------------------------------------------------------
-
-StreamingQuantile::StreamingQuantile(double q) : q_(q) {
-  EADRL_CHECK(q > 0.0 && q < 1.0);
-  for (int i = 0; i < 5; ++i) {
-    heights_[i] = 0.0;
-    positions_[i] = static_cast<double>(i + 1);
-  }
-  desired_[0] = 1.0;
-  desired_[1] = 1.0 + 2.0 * q_;
-  desired_[2] = 1.0 + 4.0 * q_;
-  desired_[3] = 3.0 + 2.0 * q_;
-  desired_[4] = 5.0;
-  increments_[0] = 0.0;
-  increments_[1] = q_ / 2.0;
-  increments_[2] = q_;
-  increments_[3] = (1.0 + q_) / 2.0;
-  increments_[4] = 1.0;
-}
-
-void StreamingQuantile::Observe(double value) {
-  if (count_ < 5) {
-    heights_[count_++] = value;
-    if (count_ == 5) std::sort(heights_, heights_ + 5);
-    return;
-  }
-  ++count_;
-
-  // Locate the cell containing the observation and update extreme markers.
-  int k;
-  if (value < heights_[0]) {
-    heights_[0] = value;
-    k = 0;
-  } else if (value >= heights_[4]) {
-    heights_[4] = value;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && value >= heights_[k + 1]) ++k;
-  }
-  for (int i = k + 1; i < 5; ++i) positions_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += increments_[i];
-
-  // Adjust the three interior markers toward their desired positions with a
-  // piecewise-parabolic (hence P-squared) height interpolation.
-  for (int i = 1; i <= 3; ++i) {
-    double d = desired_[i] - positions_[i];
-    double right_gap = positions_[i + 1] - positions_[i];
-    double left_gap = positions_[i - 1] - positions_[i];
-    if ((d >= 1.0 && right_gap > 1.0) || (d <= -1.0 && left_gap < -1.0)) {
-      double sign = d >= 1.0 ? 1.0 : -1.0;
-      double np = positions_[i] + sign;
-      double parabolic =
-          heights_[i] +
-          sign / (positions_[i + 1] - positions_[i - 1]) *
-              ((positions_[i] - positions_[i - 1] + sign) *
-                   (heights_[i + 1] - heights_[i]) / right_gap +
-               (positions_[i + 1] - positions_[i] - sign) *
-                   (heights_[i] - heights_[i - 1]) / (-left_gap));
-      if (heights_[i - 1] < parabolic && parabolic < heights_[i + 1]) {
-        heights_[i] = parabolic;
-      } else {
-        // Fall back to linear interpolation toward the chosen neighbour.
-        int j = sign > 0 ? i + 1 : i - 1;
-        heights_[i] += sign * (heights_[j] - heights_[i]) /
-                       (positions_[j] - positions_[i]);
-      }
-      positions_[i] = np;
-    }
-  }
-}
-
-double StreamingQuantile::Value() const {
-  if (count_ == 0) return 0.0;
-  if (count_ < 5) {
-    // Exact small-sample quantile (nearest-rank on the sorted prefix).
-    double sorted[5];
-    std::copy(heights_, heights_ + count_, sorted);
-    std::sort(sorted, sorted + count_);
-    size_t idx = static_cast<size_t>(q_ * static_cast<double>(count_));
-    return sorted[std::min(idx, count_ - 1)];
-  }
-  return heights_[2];
-}
-
-// ---------------------------------------------------------------------------
 // Histogram.
 // ---------------------------------------------------------------------------
 

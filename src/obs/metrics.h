@@ -50,32 +50,6 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Streaming quantile estimator (Jain & Chlamtac's P-squared algorithm):
-/// tracks one quantile of an unbounded stream in O(1) memory without storing
-/// observations. Complements Histogram's fixed buckets when the value range
-/// is unknown up front. Not thread-safe; guard externally or use one per
-/// thread.
-class StreamingQuantile {
- public:
-  explicit StreamingQuantile(double q);
-
-  void Observe(double value);
-
-  /// Current estimate; exact while fewer than five observations were seen.
-  double Value() const;
-
-  size_t count() const { return count_; }
-
- private:
-  double q_;
-  size_t count_ = 0;
-  // P-squared marker state: heights, positions and desired positions.
-  double heights_[5];
-  double positions_[5];
-  double desired_[5];
-  double increments_[5];
-};
-
 /// Immutable view of a histogram's state at one point in time. Derived
 /// statistics (mean, quantiles) are computed on the snapshot itself, so one
 /// Snapshot() call yields a mutually consistent set of numbers — exporters

@@ -42,12 +42,17 @@ uint64_t TickNanos(double tick_seconds) {
   return ns < 1.0 ? 1 : static_cast<uint64_t>(std::llround(ns));
 }
 
-double EffectiveWindowSeconds(uint64_t cur_epoch, uint64_t first_epoch,
-                              size_t buckets, uint64_t tick_ns) {
-  const uint64_t elapsed = cur_epoch - first_epoch + 1;
-  const uint64_t resident =
-      std::min<uint64_t>(elapsed, static_cast<uint64_t>(buckets));
-  return static_cast<double>(resident) * static_cast<double>(tick_ns) * 1e-9;
+// The time the resident sub-windows cover at `now_ns`: from the later of
+// the window's creation and the start of its oldest resident tick, up to
+// now, so the current tick counts only for the part of it that has elapsed.
+double CoveredWindowSeconds(uint64_t now_ns, uint64_t cur_epoch,
+                            uint64_t start_ns, size_t buckets,
+                            uint64_t tick_ns) {
+  const uint64_t oldest = cur_epoch + 1 >= buckets ? cur_epoch + 1 - buckets : 0;
+  const uint64_t begin = std::max(start_ns, oldest * tick_ns);
+  // A concurrent IncAt may have rotated past this snapshot's clock reading.
+  const uint64_t end = std::max({now_ns, cur_epoch * tick_ns, begin});
+  return static_cast<double>(end - begin) * 1e-9;
 }
 
 }  // namespace
@@ -67,13 +72,8 @@ WindowedCounter::WindowedCounter(const WindowOptions& options)
     : opt_(options), tick_ns_(TickNanos(options.tick_seconds)) {
   EADRL_CHECK_GT(opt_.buckets, 0u);
   ring_ = std::vector<Slot>(opt_.buckets);
-  first_epoch_ = EpochNow();
-  cur_epoch_.store(first_epoch_, std::memory_order_relaxed);
-}
-
-uint64_t WindowedCounter::EpochNow() const {
-  const uint64_t now = opt_.now_ns != nullptr ? opt_.now_ns() : MonotonicNowNs();
-  return now / tick_ns_;
+  start_ns_ = NowNs();
+  cur_epoch_.store(start_ns_ / tick_ns_, std::memory_order_relaxed);
 }
 
 void WindowedCounter::RotateTo(uint64_t epoch) const {
@@ -112,14 +112,15 @@ WindowedCounterSnapshot WindowedCounter::Snapshot() const {
   // Rotating here expires idle sub-windows even when no observation has
   // arrived since they went stale — a snapshot after a quiet spell reads 0,
   // not the last burst.
-  RotateTo(EpochNow());
+  const uint64_t now = NowNs();
+  RotateTo(now / tick_ns_);
   for (const Slot& slot : ring_) {
     snap.total += slot.value.load(std::memory_order_relaxed);
   }
   snap.cumulative = cumulative_.load(std::memory_order_relaxed);
   snap.window_seconds =
-      EffectiveWindowSeconds(cur_epoch_.load(std::memory_order_relaxed),
-                             first_epoch_, ring_.size(), tick_ns_);
+      CoveredWindowSeconds(now, cur_epoch_.load(std::memory_order_relaxed),
+                           start_ns_, ring_.size(), tick_ns_);
   return snap;
 }
 
@@ -145,13 +146,8 @@ WindowedHistogram::WindowedHistogram(const WindowOptions& options,
         std::make_unique<std::atomic<uint8_t>[]>(kSlotSampleCap);
     ResetSlot(&slot);
   }
-  first_epoch_ = EpochNow();
-  cur_epoch_.store(first_epoch_, std::memory_order_relaxed);
-}
-
-uint64_t WindowedHistogram::EpochNow() const {
-  const uint64_t now = opt_.now_ns != nullptr ? opt_.now_ns() : MonotonicNowNs();
-  return now / tick_ns_;
+  start_ns_ = NowNs();
+  cur_epoch_.store(start_ns_ / tick_ns_, std::memory_order_relaxed);
 }
 
 void WindowedHistogram::ResetSlot(Slot* slot) const {
@@ -220,7 +216,8 @@ WindowedHistogramSnapshot WindowedHistogram::Snapshot() const {
   snap.values.counts.assign(bounds_.size() + 1, 0);
 
   std::lock_guard<chk::OrderedMutex> lock(window_mu_);
-  RotateTo(EpochNow());
+  const uint64_t now = NowNs();
+  RotateTo(now / tick_ns_);
 
   std::vector<uint64_t> slot_counts(ring_.size(), 0);
   double mn = std::numeric_limits<double>::infinity();
@@ -273,8 +270,8 @@ WindowedHistogramSnapshot WindowedHistogram::Snapshot() const {
   }
 
   snap.window_seconds =
-      EffectiveWindowSeconds(cur_epoch_.load(std::memory_order_relaxed),
-                             first_epoch_, ring_.size(), tick_ns_);
+      CoveredWindowSeconds(now, cur_epoch_.load(std::memory_order_relaxed),
+                           start_ns_, ring_.size(), tick_ns_);
   return snap;
 }
 

@@ -47,8 +47,9 @@ struct WindowOptions {
 };
 
 /// One WindowedCounter view: the windowed total, the exact cumulative total
-/// and the effective window span (shorter than the configured span until one
-/// full window has elapsed, so early rates are not diluted).
+/// and the time the resident sub-windows actually cover: from creation or
+/// the oldest resident tick's start, whichever is later, to the snapshot, so
+/// neither a young window nor the current partial tick dilutes the rate.
 struct WindowedCounterSnapshot {
   double total = 0.0;       ///< sum over the resident sub-windows.
   double cumulative = 0.0;  ///< exact since-construction total.
@@ -89,14 +90,13 @@ class WindowedCounter {
     std::atomic<double> value{0.0};
   };
 
-  uint64_t EpochNow() const;
   /// Advances the ring to `epoch`, zeroing every slot the window slid past.
   /// Caller holds window_mu_.
   void RotateTo(uint64_t epoch) const EADRL_REQUIRES(window_mu_);
 
   WindowOptions opt_;
   uint64_t tick_ns_;
-  uint64_t first_epoch_;
+  uint64_t start_ns_;  ///< clock reading at construction.
 
   /// Serializes rotation only — never held while observing.
   mutable chk::OrderedMutex window_mu_{EADRL_LOCK_RANK(obs_window),
@@ -166,7 +166,6 @@ class WindowedHistogram {
     std::unique_ptr<std::atomic<uint8_t>[]> sample_ready;
   };
 
-  uint64_t EpochNow() const;
   void ResetSlot(Slot* slot) const;
   void RotateTo(uint64_t epoch) const EADRL_REQUIRES(window_mu_);
 
@@ -174,7 +173,7 @@ class WindowedHistogram {
   /// Const after construction.
   std::vector<double> bounds_ EADRL_UNGUARDED;
   uint64_t tick_ns_;
-  uint64_t first_epoch_;
+  uint64_t start_ns_;  ///< clock reading at construction.
 
   mutable chk::OrderedMutex window_mu_{EADRL_LOCK_RANK(obs_window),
                                        "obs::WindowedHistogram::window_mu_"};

@@ -187,6 +187,18 @@ Status ForecastService::Admit(Request request, const std::string& tenant) {
   if (request.session == nullptr) {
     return Status::NotFound("no session for tenant '" + tenant + "'");
   }
+  if (request.kind == Request::Kind::kPredict) {
+    // Checked here, not in the drainer, so one tenant's malformed vector is
+    // that tenant's error instead of an out-of-bounds read in
+    // ReduceToActive or a contract abort that takes every tenant down.
+    const size_t pool = request.session->policy->combiner->num_models();
+    if (request.preds.size() != pool) {
+      return Status::InvalidArgument(
+          "predict for tenant '" + tenant + "': " +
+          std::to_string(request.preds.size()) +
+          " member predictions, policy pool has " + std::to_string(pool));
+    }
+  }
   request.enqueue_time = std::chrono::steady_clock::now();
   // The in-flight slot is taken BEFORE the enqueue: on a serial pool the
   // enqueue drains (and completes the request, releasing the slot) inline,
@@ -214,6 +226,12 @@ Status ForecastService::PredictAsync(
     const std::string& tenant, math::Vec preds,
     std::function<void(StatusOr<double>)> done) {
   EADRL_CHECK(done != nullptr);
+  for (double v : preds) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument("predict for tenant '" + tenant +
+                                     "': non-finite member prediction");
+    }
+  }
   Request request;
   request.kind = Request::Kind::kPredict;
   request.preds = std::move(preds);
@@ -224,6 +242,10 @@ Status ForecastService::PredictAsync(
 Status ForecastService::ObserveActualAsync(const std::string& tenant,
                                            double actual,
                                            std::function<void(Status)> done) {
+  if (!std::isfinite(actual)) {
+    return Status::InvalidArgument("observe for tenant '" + tenant +
+                                   "': non-finite actual");
+  }
   Request request;
   request.kind = Request::Kind::kObserve;
   request.actual = actual;

@@ -190,15 +190,18 @@ class ForecastService {
 
   /// Admits a predict request: `preds` are the member forecasts in tenant
   /// units; `done` receives the combined forecast (tenant units) on the
-  /// drainer thread. Returns the admission decision: NotFound (no session)
-  /// or ResourceExhausted (shed); once Ok is returned, `done` will be
-  /// called. `done` must not throw.
+  /// drainer thread. Returns the admission decision: InvalidArgument (a
+  /// non-finite member forecast, or a vector whose length is not the
+  /// policy's pool size), NotFound (no session) or ResourceExhausted
+  /// (shed); once Ok is returned, `done` will be called. `done` must not
+  /// throw.
   Status PredictAsync(const std::string& tenant, math::Vec preds,
                       std::function<void(StatusOr<double>)> done);
 
   /// Admits an observe request feeding the tenant's realized value (tenant
   /// units) to its drift detector. `done` (optional) runs on the drainer
-  /// thread; same admission semantics as PredictAsync.
+  /// thread; same admission semantics as PredictAsync (InvalidArgument for
+  /// a non-finite actual).
   Status ObserveActualAsync(const std::string& tenant, double actual,
                             std::function<void(Status)> done = {});
 

@@ -211,18 +211,36 @@ INSTANTIATE_TEST_SUITE_P(CriticForms, DdpgUpdateParity,
                          ::testing::Values(rl::CriticForm::kLinearInAction,
                                            rl::CriticForm::kMonolithic));
 
-// ActBatch row b == Act(row b).
+// ActBatch row b == Act(row b): a small agent below the forward kernel's
+// pack threshold, and the served actor (10 -> 64 -> 64 -> 43) at one row,
+// at math::kForwardPackMinRows and at a full 64-row wave, so both forward
+// kernels are held to the scalar walk.
 TEST(BatchedParityTest, ActBatchMatchesScalarAct) {
-  rl::DdpgConfig cfg;
-  cfg.state_dim = 4;
-  cfg.action_dim = 6;
-  rl::DdpgAgent agent(cfg);
-  Rng rng(31);
-  const math::Matrix states = RandomBatch(7, 4, &rng);
-  const math::Matrix batched = agent.ActBatch(states);
-  for (size_t b = 0; b < 7u; ++b) {
-    const math::Vec want = agent.Act(states.Row(b));
-    for (size_t j = 0; j < 6u; ++j) EXPECT_DOUBLE_EQ(batched(b, j), want[j]);
+  struct Case {
+    size_t state_dim;
+    size_t action_dim;
+    size_t rows;
+  };
+  const Case cases[] = {{4, 6, 7},
+                        {10, 43, 1},
+                        {10, 43, math::kForwardPackMinRows},
+                        {10, 43, 64}};
+  for (const Case& c : cases) {
+    rl::DdpgConfig cfg;
+    cfg.state_dim = c.state_dim;
+    cfg.action_dim = c.action_dim;
+    rl::DdpgAgent agent(cfg);
+    Rng rng(31);
+    const math::Matrix states = RandomBatch(c.rows, c.state_dim, &rng);
+    const math::Matrix batched = agent.ActBatch(states);
+    for (size_t b = 0; b < c.rows; ++b) {
+      const math::Vec want = agent.Act(states.Row(b));
+      for (size_t j = 0; j < c.action_dim; ++j) {
+        EXPECT_EQ(batched(b, j), want[j])  // exact, not within 4 ULPs.
+            << c.state_dim << "->" << c.action_dim << " rows=" << c.rows
+            << " row " << b;
+      }
+    }
   }
 }
 

@@ -74,6 +74,7 @@ TEST(BenchSnapshotJson, RoundTripsEveryField) {
   snapshot.host.sanitizer = "thread";
   snapshot.host.checks = true;
   snapshot.host.compiler = "g++ \"quoted\"";
+  snapshot.host.forward_kernel = "avx2";
   snapshot.resources.peak_rss_bytes = 1u << 30;
   snapshot.resources.minor_faults = 42;
   snapshot.resources.user_cpu_seconds = 1.25;
@@ -90,6 +91,7 @@ TEST(BenchSnapshotJson, RoundTripsEveryField) {
   EXPECT_EQ(parsed->host.sanitizer, "thread");
   EXPECT_TRUE(parsed->host.checks);
   EXPECT_EQ(parsed->host.compiler, "g++ \"quoted\"");
+  EXPECT_EQ(parsed->host.forward_kernel, "avx2");
   ASSERT_EQ(parsed->entries.size(), 2u);
   EXPECT_EQ(parsed->entries[0].name, "micro/BM_A");
   EXPECT_DOUBLE_EQ(parsed->entries[1].real_time_ns, 5e9);
@@ -200,6 +202,29 @@ TEST(CompareBenchSnapshots, FlagsDifferingHosts) {
   EXPECT_TRUE(CompareBenchSnapshots(baseline, current).host_differs);
   current.host.sanitizer = baseline.host.sanitizer;
   EXPECT_FALSE(CompareBenchSnapshots(baseline, current).host_differs);
+}
+
+TEST(CompareBenchSnapshots, FlagsDifferingForwardKernels) {
+  BenchSnapshot baseline = MakeSnapshot({MakeEntry("a", 1.0)});
+  BenchSnapshot current = MakeSnapshot({MakeEntry("a", 1.0)});
+  baseline.host.forward_kernel = "scalar";
+  current.host.forward_kernel = "avx2";
+  EXPECT_TRUE(CompareBenchSnapshots(baseline, current).host_differs);
+  current.host.forward_kernel = "scalar";
+  EXPECT_FALSE(CompareBenchSnapshots(baseline, current).host_differs);
+
+  // A snapshot recorded before the field existed parses it as empty, and
+  // an unknown kernel is not a difference.
+  std::string old_json = BenchSnapshotToJson(baseline);
+  const std::string field = ",\"forward_kernel\":\"scalar\"";
+  const size_t at = old_json.find(field);
+  ASSERT_NE(at, std::string::npos) << old_json;
+  old_json.erase(at, field.size());
+  auto old_snapshot = ParseBenchSnapshot(old_json);
+  ASSERT_TRUE(old_snapshot.ok()) << old_snapshot.status().ToString();
+  EXPECT_EQ(old_snapshot->host.forward_kernel, "");
+  current.host.forward_kernel = "avx2";
+  EXPECT_FALSE(CompareBenchSnapshots(*old_snapshot, current).host_differs);
 }
 
 #if EADRL_CHECKS

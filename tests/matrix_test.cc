@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+
 namespace eadrl::math {
 namespace {
 
@@ -176,6 +181,114 @@ TEST(MatrixKernelTest, MatMulTransposeBMatchesMaterializedBitwise) {
       EXPECT_DOUBLE_EQ(fused.data()[i], chained.data()[i]) << "cols=" << cols;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Forward-kernel variants. The AVX2 path must reproduce the scalar reference
+// byte for byte, so these compare with memcmp: the sign of zero counts,
+// which EXPECT_DOUBLE_EQ would forgive. The one exception is which NaN a
+// NaN result is. When two NaNs meet in an add, IEEE 754 lets either one
+// propagate; x86 keeps the first operand, and for the scalar reference the
+// compiler picks that order (the -O3 and the -O2 sanitizer builds differ).
+// So a NaN result only has to be NaN in both.
+
+// Index of the first element whose bytes differ, or -1 when all agree.
+long FirstByteMismatch(const Matrix& got, const Matrix& want) {
+  if (got.rows() != want.rows() || got.cols() != want.cols()) return 0;
+  for (size_t i = 0; i < got.size(); ++i) {
+    const double g = got.data()[i];
+    const double w = want.data()[i];
+    if (std::isnan(g) && std::isnan(w)) continue;
+    if (std::memcmp(&g, &w, sizeof(double)) != 0) {
+      return static_cast<long>(i);
+    }
+  }
+  return -1;
+}
+
+// An input where a fused multiply-add rounds differently: row `i` of `a`
+// and row `j` of `b` make out(i, j) = 0.0 + 1 * -(1 + 2^-29) +
+// (1 + 2^-30)^2. Rounding the product first gives exactly 0; fusing it
+// with the add keeps the 2^-60 the product's rounding drops.
+void PlantFmaProbe(Matrix* a, size_t i, Matrix* b, size_t j) {
+  const double e = std::ldexp(1.0, -30);
+  for (size_t k = 0; k < a->cols(); ++k) (*a)(i, k) = 0.0;
+  for (size_t k = 0; k < b->cols(); ++k) (*b)(j, k) = 0.0;
+  (*a)(i, 0) = 1.0;
+  (*a)(i, 1) = 1.0 + e;
+  (*b)(j, 0) = -(1.0 + 2.0 * e);
+  (*b)(j, 1) = 1.0 + e;
+}
+
+// Actor-shaped operands with signed zeros, infinities and NaN in both; a
+// last row of -0.0 against a last row of positive weights, so every product
+// of out(m-1, n-1) is -0.0 and only the +0.0 start makes it +0.0; and the
+// FMA probe at out(0, 1).
+void ForwardOperands(size_t m, size_t k_dim, size_t n, Matrix* a, Matrix* b) {
+  *a = PseudoRandom(m, k_dim, static_cast<unsigned>(m * 131 + k_dim));
+  *b = PseudoRandom(n, k_dim, static_cast<unsigned>(n * 17 + k_dim));
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {-0.0, inf, -inf, nan};
+  for (size_t s = 0; s < 4; ++s) {
+    a->data()[(s * 37 + 5) % a->size()] = specials[s];
+    b->data()[(s * 53 + 11) % b->size()] = specials[s];
+    b->data()[(s * 29 + 3 * k_dim) % b->size()] = specials[(s + 2) % 4];
+  }
+  for (size_t k = 0; k < k_dim; ++k) {
+    (*a)(m - 1, k) = -0.0;
+    (*b)(n - 1, k) = 0.5;
+  }
+  PlantFmaProbe(a, 0, b, 1);
+}
+
+constexpr size_t kActorLayers[][2] = {{10, 64}, {64, 64}, {64, 43}};
+constexpr size_t kForwardRows[] = {1, 4, 7, 8, 9, 35, 64};
+
+TEST(ForwardKernelTest, Avx2MatchesReferenceBytewise) {
+  if (ForwardKernelFor(kForwardPackMinRows) != ForwardKernel::kAvx2) {
+    GTEST_SKIP() << "this CPU has no AVX2; only the scalar kernel runs";
+  }
+  for (const auto& layer : kActorLayers) {
+    for (size_t m : kForwardRows) {
+      Matrix a;
+      Matrix b;
+      ForwardOperands(m, layer[0], layer[1], &a, &b);
+      Matrix want;
+      Matrix got;
+      MatMulTransposeBWith(ForwardKernel::kScalar, a, b, &want);
+      MatMulTransposeBWith(ForwardKernel::kAvx2, a, b, &got);
+      ASSERT_EQ(got.rows(), m);
+      ASSERT_EQ(got.cols(), layer[1]);
+      const long bad = FirstByteMismatch(got, want);
+      EXPECT_EQ(bad, -1) << layer[0] << "->" << layer[1] << " m=" << m
+                         << " got " << got.data()[bad < 0 ? 0 : bad]
+                         << " want " << want.data()[bad < 0 ? 0 : bad];
+    }
+  }
+}
+
+TEST(ForwardKernelTest, DispatchMatchesReferenceBytewise) {
+  // MatMulTransposeBInto picks per call; whatever it picks on this host
+  // must give the reference's bytes, below and above the threshold.
+  for (const auto& layer : kActorLayers) {
+    for (size_t m : kForwardRows) {
+      Matrix a;
+      Matrix b;
+      ForwardOperands(m, layer[0], layer[1], &a, &b);
+      Matrix want;
+      MatMulTransposeBWith(ForwardKernel::kScalar, a, b, &want);
+      // The FMA probe guards the reference too: a build that contracted
+      // its multiply-add would read 2^-60 here.
+      EXPECT_EQ(want(0, 1), 0.0);
+      Matrix got;
+      a.MatMulTransposeBInto(b, &got);
+      EXPECT_EQ(FirstByteMismatch(got, want), -1)
+          << layer[0] << "->" << layer[1] << " m=" << m << " via "
+          << ForwardKernelName(ForwardKernelFor(m));
+    }
+  }
+  EXPECT_EQ(ForwardKernelFor(kForwardPackMinRows - 1), ForwardKernel::kScalar);
 }
 
 TEST(MatrixKernelTest, TransposeMatVecKeepsExactZeroHandling) {

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
-#include "common/rng.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -233,33 +232,6 @@ TEST(ObsHistogramTest, BoundHelpers) {
   std::vector<double> lin = Histogram::LinearBounds(0.0, 0.5, 3);
   ASSERT_EQ(lin.size(), 3u);
   EXPECT_DOUBLE_EQ(lin[2], 1.0);
-}
-
-// ---------------------------------------------------------------------------
-// StreamingQuantile (P-squared).
-// ---------------------------------------------------------------------------
-
-TEST(ObsStreamingQuantileTest, SmallSampleIsExact) {
-  StreamingQuantile q(0.5);
-  q.Observe(3.0);
-  EXPECT_DOUBLE_EQ(q.Value(), 3.0);
-  q.Observe(1.0);
-  q.Observe(2.0);
-  EXPECT_DOUBLE_EQ(q.Value(), 2.0);  // median of {1,2,3}.
-}
-
-TEST(ObsStreamingQuantileTest, ConvergesOnUniformStream) {
-  Rng rng(7);
-  StreamingQuantile median(0.5);
-  StreamingQuantile p90(0.9);
-  for (int i = 0; i < 20000; ++i) {
-    double v = rng.Uniform();
-    median.Observe(v);
-    p90.Observe(v);
-  }
-  EXPECT_NEAR(median.Value(), 0.5, 0.03);
-  EXPECT_NEAR(p90.Value(), 0.9, 0.03);
-  EXPECT_EQ(median.count(), 20000u);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -124,6 +126,52 @@ TEST(ForecastServiceTest, ErrorCodes) {
 
   ASSERT_TRUE(service.EvictSession("a").ok());
   EXPECT_EQ(service.EvictSession("a").code(), StatusCode::kNotFound);
+}
+
+// A member vector of the wrong length is refused at admission: one short
+// would otherwise reach ReduceToActive and read past its end.
+TEST(ForecastServiceTest, WrongLengthMemberVectorIsInvalidArgument) {
+  serve::ForecastService service(ManualConfig());
+  const size_t policy_id = service.RegisterPolicy(NewCombiner());
+  ASSERT_TRUE(service.CreateSession("a", policy_id).ok());
+
+  math::Vec short_preds = Preds(0);
+  short_preds.pop_back();
+  EXPECT_EQ(service.Predict("a", short_preds).status().code(),
+            StatusCode::kInvalidArgument);
+  math::Vec long_preds = Preds(0);
+  long_preds.push_back(long_preds.back());
+  EXPECT_EQ(service.Predict("a", long_preds).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.Stats().queue_depth, 0u);  // never enqueued.
+  EXPECT_EQ(service.Stats().predicts, 0u);
+
+  // The tenant's next well-formed predict is served as usual.
+  EXPECT_TRUE(service.Predict("a", Preds(0)).ok());
+}
+
+// One tenant's NaN or infinity is that tenant's typed error; the drainer's
+// finiteness contract (forced on in this binary) never sees it, and other
+// tenants keep being served.
+TEST(ForecastServiceTest, NonFiniteInputIsInvalidArgument) {
+  serve::ForecastService service(ManualConfig());
+  const size_t policy_id = service.RegisterPolicy(NewCombiner());
+  ASSERT_TRUE(service.CreateSession("bad", policy_id).ok());
+  ASSERT_TRUE(service.CreateSession("good", policy_id).ok());
+
+  for (double v : {std::nan(""), std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    math::Vec preds = Preds(0);
+    preds[preds.size() / 2] = v;
+    EXPECT_EQ(service.Predict("bad", preds).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(service.ObserveActual("bad", v).code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(service.Stats().predicts, 0u);
+  EXPECT_EQ(service.Stats().observes, 0u);
+  EXPECT_TRUE(service.Predict("good", Preds(0)).ok());
+  EXPECT_TRUE(service.ObserveActual("good", Actual(0)).ok());
 }
 
 TEST(ForecastServiceTest, QueueBoundShedsWithTypedStatus) {
@@ -362,9 +410,10 @@ TEST(ForecastServiceObsTest, WindowedStatsAndQueueDelayExposed) {
   for (size_t step = 0; step < 3; ++step) {
     ASSERT_TRUE(service.Predict("a", Preds(step)).ok());
   }
+  SetFakeNowSeconds(1000.5);
   serve::ServeStats stats = service.Stats();
-  EXPECT_DOUBLE_EQ(stats.window_seconds, 1.0);  // one resident sub-window.
-  EXPECT_DOUBLE_EQ(stats.window_predict_qps, 3.0);
+  EXPECT_DOUBLE_EQ(stats.window_seconds, 0.5);  // the time since creation.
+  EXPECT_DOUBLE_EQ(stats.window_predict_qps, 6.0);
   EXPECT_DOUBLE_EQ(stats.window_shed_rate, 0.0);
   EXPECT_GT(stats.window_predict_p99_s, 0.0);
   EXPECT_GE(stats.window_predict_p99_s, stats.window_predict_p50_s);
@@ -404,9 +453,10 @@ TEST(ForecastServiceObsTest, ShedRateLandsInTheWindow) {
             StatusCode::kResourceExhausted);
   while (service.DrainOnce()) {
   }
+  SetFakeNowSeconds(0.5);
   const serve::ServeStats stats = service.Stats();
   EXPECT_EQ(stats.shed, 2u);
-  EXPECT_DOUBLE_EQ(stats.window_shed_rate, 2.0);
+  EXPECT_DOUBLE_EQ(stats.window_shed_rate, 4.0);  // 2 sheds in 0.5 s.
 }
 
 TEST(ForecastServiceObsTest, SloTracksLatencyAndAvailability) {

@@ -66,23 +66,24 @@ TEST(WindowedCounterTest, RotatesAtTickBoundaries) {
   WindowedCounterSnapshot snap = counter.Snapshot();
   EXPECT_DOUBLE_EQ(snap.total, 5.0);
   EXPECT_DOUBLE_EQ(snap.cumulative, 5.0);
-  // Only the first sub-window is resident: the rate reflects 1 tick, not 4.
-  EXPECT_DOUBLE_EQ(snap.window_seconds, 1.0);
-  EXPECT_DOUBLE_EQ(snap.Rate(), 5.0);
+  // The window has existed for half a tick: the rate divides by 0.5 s, not
+  // by the whole tick or the configured 4.
+  EXPECT_DOUBLE_EQ(snap.window_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(snap.Rate(), 10.0);
 
   SetNowSeconds(1.5);  // epoch 1: a new sub-window opens, epoch 0 stays live.
   counter.Inc(3.0);
   snap = counter.Snapshot();
   EXPECT_DOUBLE_EQ(snap.total, 8.0);
-  EXPECT_DOUBLE_EQ(snap.window_seconds, 2.0);
+  EXPECT_DOUBLE_EQ(snap.window_seconds, 1.5);
 
   // Advance to epoch 4: the window covers epochs 1..4, so epoch 0's 5.0
-  // slides out while the cumulative total keeps it.
+  // slides out while the cumulative total keeps it. Covered: 1.0 s .. now.
   SetNowSeconds(4.25);
   snap = counter.Snapshot();
   EXPECT_DOUBLE_EQ(snap.total, 3.0);
   EXPECT_DOUBLE_EQ(snap.cumulative, 8.0);
-  EXPECT_DOUBLE_EQ(snap.window_seconds, 4.0);
+  EXPECT_DOUBLE_EQ(snap.window_seconds, 3.25);
 }
 
 TEST(WindowedCounterTest, WholeWindowExpiresAfterQuietSpell) {
@@ -95,7 +96,27 @@ TEST(WindowedCounterTest, WholeWindowExpiresAfterQuietSpell) {
   const WindowedCounterSnapshot snap = counter.Snapshot();
   EXPECT_DOUBLE_EQ(snap.total, 0.0);
   EXPECT_DOUBLE_EQ(snap.cumulative, 10.0);
-  EXPECT_DOUBLE_EQ(snap.window_seconds, 4.0);
+  // Epochs 97..100 are resident and epoch 100 has just begun.
+  EXPECT_DOUBLE_EQ(snap.window_seconds, 3.0);
+}
+
+// A run shorter than the window, ending mid-tick: 2.49 s at 20k/s must read
+// 20k/s. Counting the partial third tick as whole (3 s) read 16.6k/s.
+TEST(WindowedCounterTest, RateDividesByTheCoveredTime) {
+  SetNowSeconds(0.0);
+  WindowedCounter counter(FakeWindow(10, 1.0));
+  WindowedHistogram hist(FakeWindow(10, 1.0), {});
+  for (int i = 0; i < 249; ++i) {  // 200 requests every 10 ms.
+    SetNowSeconds(0.01 * i);
+    counter.Inc(200.0);
+    hist.Observe(0.001);
+  }
+  SetNowSeconds(2.49);
+  const WindowedCounterSnapshot snap = counter.Snapshot();
+  EXPECT_DOUBLE_EQ(snap.total, 49800.0);
+  EXPECT_NEAR(snap.window_seconds, 2.49, 1e-9);
+  EXPECT_NEAR(snap.Rate(), 20000.0, 1e-6);
+  EXPECT_NEAR(hist.Snapshot().Rate(), 100.0, 1e-9);
 }
 
 TEST(WindowedCounterTest, SubSecondTicks) {
@@ -105,6 +126,7 @@ TEST(WindowedCounterTest, SubSecondTicks) {
     SetNowSeconds(0.1 * i);
     counter.Inc();
   }
+  SetNowSeconds(0.8);
   const WindowedCounterSnapshot snap = counter.Snapshot();
   EXPECT_DOUBLE_EQ(snap.total, 8.0);
   EXPECT_NEAR(snap.window_seconds, 0.8, 1e-9);

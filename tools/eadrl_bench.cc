@@ -34,6 +34,7 @@
 
 #include "core/eadrl.h"
 #include "exp/experiment.h"
+#include "math/matrix.h"
 #include "obs/bench_compare.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
@@ -373,6 +374,8 @@ int RunRecord(const Args& args) {
   snapshot.host.checks = true;
 #endif
   snapshot.host.compiler = __VERSION__;
+  snapshot.host.forward_kernel = eadrl::math::ForwardKernelName(
+      eadrl::math::ForwardKernelFor(eadrl::math::kForwardPackMinRows));
 
   if (!args.skip_suites) {
     for (const char* suite : kGbmSuites) {
