@@ -137,18 +137,14 @@ void BM_SessionTableChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionTableChurn);
 
-// Untracked queue (track_queue_delay off, the Options default): the
-// queue-delay estimator must cost nothing when nobody asked for it. The
-// *Tracked variant prices the enabled path (two clock reads plus one
-// windowed observation per drained request); comparing the two is the
-// disabled-vs-enabled evidence for the windowed instrumentation.
-void RunBatchingQueueEnqueueDrain(benchmark::State& state,
-                                  bool track_queue_delay) {
+// Enqueue `batch` requests, then drain them as one batch. The drain
+// includes the queue-delay record (two clock reads per batch plus one
+// windowed observation per request).
+void BM_BatchingQueueEnqueueDrain(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   BatchingQueue::Options options;
   options.manual_drain = true;
   options.max_queue = batch * 2;
-  options.track_queue_delay = track_queue_delay;
   size_t drained = 0;
   BatchingQueue queue(options, [&drained](std::vector<Request> requests) {
     drained += requests.size();
@@ -170,16 +166,7 @@ void RunBatchingQueueEnqueueDrain(benchmark::State& state,
   state.counters["drained"] = static_cast<double>(drained);
   eadrl::bench::RegisterThreads(state, 1);
 }
-
-void BM_BatchingQueueEnqueueDrain(benchmark::State& state) {
-  RunBatchingQueueEnqueueDrain(state, /*track_queue_delay=*/false);
-}
 BENCHMARK(BM_BatchingQueueEnqueueDrain)->Arg(1)->Arg(16)->Arg(64);
-
-void BM_BatchingQueueEnqueueDrainTracked(benchmark::State& state) {
-  RunBatchingQueueEnqueueDrain(state, /*track_queue_delay=*/true);
-}
-BENCHMARK(BM_BatchingQueueEnqueueDrainTracked)->Arg(1)->Arg(64);
 
 void BM_ServePredictBlocking(benchmark::State& state) {
   // Single-tenant end-to-end: admission + one-request wave + actor pass.

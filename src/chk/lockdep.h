@@ -102,9 +102,15 @@ class EADRL_CAPABILITY("mutex") OrderedMutex {
   }
 
   void unlock() EADRL_RELEASE() {
-    mu_.unlock();
 #if EADRL_LOCKDEP_COMPILED
-    internal_lockdep::OnRelease(rank_, this);
+    // Read before the release: once mu_ is unlocked a waiter may destroy
+    // this mutex (BatchingQueue::Flush returning into a destructor), so no
+    // member may be touched after it.
+    const LockRank rank = rank_;
+    mu_.unlock();
+    internal_lockdep::OnRelease(rank, this);
+#else
+    mu_.unlock();
 #endif
   }
 

@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "common/string_util.h"
-#include "obs/window.h"
 
 namespace eadrl::obs {
 namespace {
@@ -301,12 +300,9 @@ std::vector<double> Histogram::DefaultLatencyBounds() {
 // MetricRegistry.
 // ---------------------------------------------------------------------------
 
-MetricRegistry::MetricRegistry() = default;
-MetricRegistry::~MetricRegistry() = default;
-
 MetricRegistry::Entry* MetricRegistry::FindOrCreate(
     const std::string& name, const Labels& labels, Kind kind,
-    std::vector<double> bounds, const WindowOptions* window) {
+    std::vector<double> bounds) {
   Labels sorted = labels;
   std::sort(sorted.begin(), sorted.end());
   std::string sig = LabelSignature(sorted);
@@ -334,51 +330,25 @@ MetricRegistry::Entry* MetricRegistry::FindOrCreate(
           bounds.empty() ? Histogram::DefaultLatencyBounds()
                          : std::move(bounds));
       break;
-    case Kind::kWindowedCounter:
-      EADRL_CHECK(window != nullptr);
-      entry.windowed_counter = std::make_unique<WindowedCounter>(*window);
-      break;
-    case Kind::kWindowedHistogram:
-      EADRL_CHECK(window != nullptr);
-      entry.windowed_histogram =
-          std::make_unique<WindowedHistogram>(*window, std::move(bounds));
-      break;
   }
   return &family.emplace(sig, std::move(entry)).first->second;
 }
 
 Counter* MetricRegistry::GetCounter(const std::string& name,
                                     const Labels& labels) {
-  return FindOrCreate(name, labels, Kind::kCounter, {}, nullptr)
-      ->counter.get();
+  return FindOrCreate(name, labels, Kind::kCounter, {})->counter.get();
 }
 
 Gauge* MetricRegistry::GetGauge(const std::string& name,
                                 const Labels& labels) {
-  return FindOrCreate(name, labels, Kind::kGauge, {}, nullptr)->gauge.get();
+  return FindOrCreate(name, labels, Kind::kGauge, {})->gauge.get();
 }
 
 Histogram* MetricRegistry::GetHistogram(const std::string& name,
                                         std::vector<double> bounds,
                                         const Labels& labels) {
-  return FindOrCreate(name, labels, Kind::kHistogram, std::move(bounds),
-                      nullptr)
+  return FindOrCreate(name, labels, Kind::kHistogram, std::move(bounds))
       ->histogram.get();
-}
-
-WindowedCounter* MetricRegistry::GetWindowedCounter(
-    const std::string& name, const WindowOptions& options,
-    const Labels& labels) {
-  return FindOrCreate(name, labels, Kind::kWindowedCounter, {}, &options)
-      ->windowed_counter.get();
-}
-
-WindowedHistogram* MetricRegistry::GetWindowedHistogram(
-    const std::string& name, const WindowOptions& options,
-    std::vector<double> bounds, const Labels& labels) {
-  return FindOrCreate(name, labels, Kind::kWindowedHistogram,
-                      std::move(bounds), &options)
-      ->windowed_histogram.get();
 }
 
 std::string MetricRegistry::ToJson() const {
@@ -426,45 +396,6 @@ std::string MetricRegistry::ToJson() const {
           out << "}";
           break;
         }
-        case Kind::kWindowedCounter: {
-          const WindowedCounterSnapshot snap =
-              entry.windowed_counter->Snapshot();
-          out << "{\"type\":\"windowed_counter\",\"cumulative\":";
-          AppendJsonNumber(&out, snap.cumulative);
-          out << ",\"window_total\":";
-          AppendJsonNumber(&out, snap.total);
-          out << ",\"window_seconds\":";
-          AppendJsonNumber(&out, snap.window_seconds);
-          out << ",\"rate\":";
-          AppendJsonNumber(&out, snap.Rate());
-          out << "}";
-          break;
-        }
-        case Kind::kWindowedHistogram: {
-          const WindowedHistogramSnapshot snap =
-              entry.windowed_histogram->Snapshot();
-          out << "{\"type\":\"windowed_histogram\",\"cumulative_count\":"
-              << entry.windowed_histogram->CumulativeCount()
-              << ",\"window_count\":" << snap.values.count
-              << ",\"window_seconds\":";
-          AppendJsonNumber(&out, snap.window_seconds);
-          out << ",\"rate\":";
-          AppendJsonNumber(&out, snap.Rate());
-          out << ",\"mean\":";
-          AppendJsonNumber(&out, snap.values.Mean());
-          out << ",\"min\":";
-          AppendJsonNumber(&out, snap.values.min);
-          out << ",\"max\":";
-          AppendJsonNumber(&out, snap.values.max);
-          out << ",\"p50\":";
-          AppendJsonNumber(&out, snap.values.Quantile(0.5));
-          out << ",\"p95\":";
-          AppendJsonNumber(&out, snap.values.Quantile(0.95));
-          out << ",\"p99\":";
-          AppendJsonNumber(&out, snap.values.Quantile(0.99));
-          out << "}";
-          break;
-        }
       }
     }
     out << "}";
@@ -502,29 +433,6 @@ std::string MetricRegistry::ToCsv() const {
           row("p99", snap.Quantile(0.99));
           break;
         }
-        case Kind::kWindowedCounter: {
-          const WindowedCounterSnapshot snap =
-              entry.windowed_counter->Snapshot();
-          row("cumulative", snap.cumulative);
-          row("window_total", snap.total);
-          row("window_seconds", snap.window_seconds);
-          row("rate", snap.Rate());
-          break;
-        }
-        case Kind::kWindowedHistogram: {
-          const WindowedHistogramSnapshot snap =
-              entry.windowed_histogram->Snapshot();
-          row("cumulative_count",
-              static_cast<double>(entry.windowed_histogram->CumulativeCount()));
-          row("window_count", static_cast<double>(snap.values.count));
-          row("window_seconds", snap.window_seconds);
-          row("rate", snap.Rate());
-          row("mean", snap.values.Mean());
-          row("p50", snap.values.Quantile(0.5));
-          row("p95", snap.values.Quantile(0.95));
-          row("p99", snap.values.Quantile(0.99));
-          break;
-        }
       }
     }
   }
@@ -537,63 +445,8 @@ std::string MetricRegistry::ToPrometheus() const {
   for (const auto& [name, family] : families_) {
     if (family.empty()) continue;
     const std::string prom = PrometheusName(name);
-    const Kind family_kind = family.begin()->second.kind;
-    if (family_kind == Kind::kWindowedCounter) {
-      // Windowed counters expose the exact cumulative total as a counter
-      // plus a windowed-rate gauge; the window span rides along as a label
-      // so dashboards know what "rate" is over.
-      std::vector<std::pair<const Entry*, WindowedCounterSnapshot>> snaps;
-      for (const auto& [sig, entry] : family) {
-        static_cast<void>(sig);
-        snaps.emplace_back(&entry, entry.windowed_counter->Snapshot());
-      }
-      out += "# TYPE " + prom + "_total counter\n";
-      for (const auto& [entry, snap] : snaps) {
-        out += prom + "_total" + PrometheusLabels(entry->labels) + " " +
-               PrometheusNumber(snap.cumulative) + "\n";
-      }
-      out += "# TYPE " + prom + "_rate gauge\n";
-      for (const auto& [entry, snap] : snaps) {
-        Labels with_window = entry->labels;
-        with_window.emplace_back("window",
-                                 PrometheusNumber(snap.window_seconds));
-        out += prom + "_rate" + PrometheusLabels(with_window) + " " +
-               PrometheusNumber(snap.Rate()) + "\n";
-      }
-      continue;
-    }
-    if (family_kind == Kind::kWindowedHistogram) {
-      // Windowed histograms expose quantile-gauge series (the summary-style
-      // shape) over the window, plus windowed count and rate gauges.
-      std::vector<std::pair<const Entry*, WindowedHistogramSnapshot>> snaps;
-      for (const auto& [sig, entry] : family) {
-        static_cast<void>(sig);
-        snaps.emplace_back(&entry, entry.windowed_histogram->Snapshot());
-      }
-      out += "# TYPE " + prom + " gauge\n";
-      for (const auto& [entry, snap] : snaps) {
-        for (const double q : {0.5, 0.95, 0.99}) {
-          Labels with_q = entry->labels;
-          with_q.emplace_back("quantile", PrometheusNumber(q));
-          with_q.emplace_back("window", PrometheusNumber(snap.window_seconds));
-          out += prom + PrometheusLabels(with_q) + " " +
-                 PrometheusNumber(snap.values.Quantile(q)) + "\n";
-        }
-      }
-      out += "# TYPE " + prom + "_window_count gauge\n";
-      for (const auto& [entry, snap] : snaps) {
-        out += prom + "_window_count" + PrometheusLabels(entry->labels) + " " +
-               std::to_string(snap.values.count) + "\n";
-      }
-      out += "# TYPE " + prom + "_rate gauge\n";
-      for (const auto& [entry, snap] : snaps) {
-        out += prom + "_rate" + PrometheusLabels(entry->labels) + " " +
-               PrometheusNumber(snap.Rate()) + "\n";
-      }
-      continue;
-    }
     const char* type = "untyped";
-    switch (family_kind) {
+    switch (family.begin()->second.kind) {
       case Kind::kCounter:
         type = "counter";
         break;
@@ -603,9 +456,6 @@ std::string MetricRegistry::ToPrometheus() const {
       case Kind::kHistogram:
         type = "histogram";
         break;
-      case Kind::kWindowedCounter:
-      case Kind::kWindowedHistogram:
-        break;  // handled above.
     }
     out += "# TYPE " + prom + " " + type + "\n";
     for (const auto& [sig, entry] : family) {
@@ -635,9 +485,6 @@ std::string MetricRegistry::ToPrometheus() const {
                  std::to_string(snap.count) + "\n";
           break;
         }
-        case Kind::kWindowedCounter:
-        case Kind::kWindowedHistogram:
-          break;  // rendered by the dedicated blocks above.
       }
     }
   }

@@ -149,13 +149,6 @@ class Histogram {
 /// {{"method", "EA-DRL"}}. Order-insensitive (sorted internally).
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-// Sliding-window metrics (src/obs/window.h). Forward-declared so the
-// registry can own them without metrics.h -> window.h -> metrics.h cycling;
-// metrics.cc includes the full definitions.
-struct WindowOptions;
-class WindowedCounter;
-class WindowedHistogram;
-
 /// Thread-safe registry of named metric families. Getters create on first
 /// use and return stable pointers that remain valid for the registry's
 /// lifetime, so hot paths can look a metric up once and cache the pointer.
@@ -163,11 +156,8 @@ class WindowedHistogram;
 /// registration; a later lookup with a conflicting type aborts.
 class MetricRegistry {
  public:
-  /// Both out of line: Entry holds unique_ptrs to the forward-declared
-  /// windowed metrics, so map teardown (destructor, and the constructor's
-  /// unwind path) must live where they are complete.
-  MetricRegistry();
-  ~MetricRegistry();
+  MetricRegistry() = default;
+  ~MetricRegistry() = default;
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
@@ -178,17 +168,6 @@ class MetricRegistry {
   Histogram* GetHistogram(const std::string& name,
                           std::vector<double> bounds = {},
                           const Labels& labels = {});
-  /// Sliding-window variants, rendered with windowed rate/quantile series by
-  /// the exporters below. `options` (and `bounds`) apply only when the
-  /// (name, labels) pair is first created — first registration wins, like
-  /// histogram bounds.
-  WindowedCounter* GetWindowedCounter(const std::string& name,
-                                      const WindowOptions& options,
-                                      const Labels& labels = {});
-  WindowedHistogram* GetWindowedHistogram(const std::string& name,
-                                          const WindowOptions& options,
-                                          std::vector<double> bounds = {},
-                                          const Labels& labels = {});
 
   /// Serializes every metric to a JSON object keyed by family name; each
   /// family maps the label signature ("k=v,k2=v2" or "" for no labels) to
@@ -219,8 +198,6 @@ class MetricRegistry {
     kCounter,
     kGauge,
     kHistogram,
-    kWindowedCounter,
-    kWindowedHistogram,
   };
 
   struct Entry {
@@ -229,13 +206,10 @@ class MetricRegistry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
-    std::unique_ptr<WindowedCounter> windowed_counter;
-    std::unique_ptr<WindowedHistogram> windowed_histogram;
   };
 
   Entry* FindOrCreate(const std::string& name, const Labels& labels,
-                      Kind kind, std::vector<double> bounds,
-                      const WindowOptions* window);
+                      Kind kind, std::vector<double> bounds);
 
   mutable std::mutex mu_;
   // family name -> label signature -> metric.

@@ -1,7 +1,6 @@
 #include "serve/batching_queue.h"
 
 #include <iterator>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
@@ -39,14 +38,6 @@ bool BatchingQueue::TryEnqueue(Request request) {
 
 void BatchingQueue::DrainLoop() {
   for (;;) {
-    // The batching window: arrivals during the linger coalesce into this
-    // batch instead of each triggering a one-request wave. Pointless on a
-    // serial pool — the drain runs inline in the producer, so nothing can
-    // arrive during the sleep and it would only serialize a delay onto
-    // every enqueue.
-    if (opt_.linger_us > 0 && pool_->parallel()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(opt_.linger_us));
-    }
     std::vector<Request> batch;
     {
       std::unique_lock<chk::OrderedMutex> lock(queue_mu_);
@@ -87,7 +78,7 @@ bool BatchingQueue::DrainOnce() {
 }
 
 void BatchingQueue::ObserveQueueDelay(const std::vector<Request>& batch) {
-  if (!opt_.track_queue_delay || batch.empty()) return;
+  if (batch.empty()) return;
   // Two clock readings (wall + window) cover the whole batch; the window
   // epoch cannot change between rows of one drain.
   const auto now = std::chrono::steady_clock::now();

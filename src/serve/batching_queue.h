@@ -29,8 +29,8 @@ struct Request {
 
   Kind kind = Kind::kPredict;
   std::shared_ptr<Session> session;
-  math::Vec preds;     ///< predict: member forecasts, tenant units.
-  double actual = 0.0; ///< observe: realized value, tenant units.
+  math::Vec preds;     ///< predict: member forecasts, policy units.
+  double actual = 0.0; ///< observe: realized value, policy units.
   std::chrono::steady_clock::time_point enqueue_time{};
   std::function<void(StatusOr<double>)> on_predict;  ///< tenant-unit forecast.
   std::function<void(Status)> on_observe;            ///< may be empty.
@@ -45,26 +45,17 @@ struct Request {
 ///
 /// `max_queue` is the admission bound: TryEnqueue refuses (returns false)
 /// rather than growing without limit — the caller turns that into a typed
-/// backpressure Status. `linger_us` optionally holds the drainer back before
-/// each batch so concurrent arrivals coalesce into larger waves (higher
-/// batch occupancy at the cost of added latency). `manual_drain` disables
-/// scheduling entirely; tests pump the queue deterministically via
-/// DrainOnce.
+/// backpressure Status. `manual_drain` disables scheduling entirely; tests
+/// pump the queue deterministically via DrainOnce. Every drained request's
+/// backlog residence is recorded (QueueDelaySnapshot).
 class BatchingQueue {
  public:
   struct Options {
     size_t max_queue = 1024;
-    size_t linger_us = 0;
     bool manual_drain = false;
     par::ThreadPool* pool = nullptr;  ///< nullptr = par::DefaultPool().
     /// Layout/clock for the queue-delay window (QueueDelaySnapshot).
     obs::WindowOptions window;
-    /// Opt-in: record each drained request's backlog residence time into the
-    /// queue-delay window (two clock reads plus one windowed observation per
-    /// request). Off by default so a raw queue costs nothing extra;
-    /// ForecastService forwards `ServeConfig::windowed_stats` here, and its
-    /// Stats surface the estimate when it is on.
-    bool track_queue_delay = false;
   };
 
   using DrainFn = std::function<void(std::vector<Request>)>;
@@ -109,8 +100,8 @@ class BatchingQueue {
   /// Observes each taken request's backlog residence time. Called with no
   /// lock held, on the batch just moved out of the queue.
   void ObserveQueueDelay(const std::vector<Request>& batch);
-  /// Body of the scheduled drainer task: repeatedly lingers, snapshots the
-  /// backlog, and feeds it to drain_ (without the lock) until the queue is
+  /// Body of the scheduled drainer task: repeatedly snapshots the backlog
+  /// and feeds it to drain_ (without the lock) until the queue is
   /// observed empty, then deactivates under the lock (so a racing
   /// TryEnqueue either lands in a batch this drainer will take or schedules
   /// a fresh drainer).

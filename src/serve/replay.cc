@@ -73,6 +73,9 @@ StatusOr<ReplayReport> RunOpenLoopReplay(ForecastService* service,
   const ServeStats before = service->Stats();
 
   std::atomic<uint64_t> observe_shed{0};
+  // This replay's own predict latencies, from each PredictAsync call to its
+  // callback, so nothing an earlier replay or service recorded mixes in.
+  obs::Histogram latency(obs::Histogram::DefaultLatencyBounds());
 
   const auto start = std::chrono::steady_clock::now();
   double arrival = 0.0;  // virtual seconds since start.
@@ -105,10 +108,15 @@ StatusOr<ReplayReport> RunOpenLoopReplay(ForecastService* service,
     const std::string& name = names[tenant];
     const bool observe = options.observe;
     std::atomic<uint64_t>* observe_shed_ptr = &observe_shed;
+    obs::Histogram* latency_ptr = &latency;
+    const auto sent = std::chrono::steady_clock::now();
     Status admitted = service->PredictAsync(
         name, std::move(member_preds),
-        [service, name, actual_raw, observe,
-         observe_shed_ptr](StatusOr<double> result) {
+        [service, name, actual_raw, observe, observe_shed_ptr, latency_ptr,
+         sent](StatusOr<double> result) {
+          latency_ptr->Observe(std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - sent)
+                                   .count());
           if (!result.ok() || !observe) return;
           // Feed the realized value back; runs on the drainer thread, so
           // this is the re-entrant enqueue path BatchingQueue covers.
@@ -122,7 +130,10 @@ StatusOr<ReplayReport> RunOpenLoopReplay(ForecastService* service,
     } else if (admitted.code() == StatusCode::kResourceExhausted) {
       ++predict_shed;
     } else {
-      return admitted;  // NotFound etc. — a driver bug, not load shedding.
+      // NotFound etc. — a driver bug, not load shedding. Admitted requests
+      // still hold pointers to this frame's counters: finish them first.
+      service->Flush();
+      return admitted;
     }
   }
 
@@ -138,7 +149,7 @@ StatusOr<ReplayReport> RunOpenLoopReplay(ForecastService* service,
           .count();
 
   const ServeStats after = service->Stats();
-  const obs::HistogramSnapshot lat = service->PredictLatencySnapshot();
+  const obs::HistogramSnapshot lat = latency.Snapshot();
 
   ReplayReport report;
   report.submitted = submitted;
@@ -150,9 +161,6 @@ StatusOr<ReplayReport> RunOpenLoopReplay(ForecastService* service,
       arrival > 0.0 ? static_cast<double>(submitted) / arrival : 0.0;
   report.achieved_qps =
       wall > 0.0 ? static_cast<double>(accepted) / wall : 0.0;
-  // The histogram accumulates across replays in one process; quantiles are
-  // reported over the cumulative distribution (exact for a fresh service),
-  // max/percentiles still bound this replay from above.
   report.predict_p50_ms = lat.Quantile(0.5) * 1e3;
   report.predict_p99_ms = lat.Quantile(0.99) * 1e3;
   report.predict_max_ms = lat.max * 1e3;

@@ -43,9 +43,11 @@ struct ReplayOptions {
   bool create_sessions = true;
 };
 
-/// What one replay did and measured. Latencies come from the service's
-/// end-to-end predict histogram; batching/shedding counters are deltas of
-/// ForecastService::Stats across the replay.
+/// What one replay did and measured. Latencies are this replay's own: each
+/// admitted predict's time from its PredictAsync call to its callback, kept
+/// in a histogram local to the replay, so other services and earlier
+/// replays in the process never mix in. Batching/shedding counters are
+/// deltas of ForecastService::Stats across the replay.
 struct ReplayReport {
   uint64_t submitted = 0;      ///< predict admissions attempted.
   uint64_t accepted = 0;       ///< predicts admitted.

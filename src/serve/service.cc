@@ -32,37 +32,13 @@ ForecastService::ForecastService(const ServeConfig& config)
                                   : 2 * std::max<size_t>(config.max_queue, 1)),
       table_(SessionTable::Options{config.shards, config.max_sessions,
                                    config.session_ttl_seconds}),
-      predict_counter_(obs::MetricRegistry::Default().GetCounter(
-          "eadrl_serve_requests_total", {{"kind", "predict"}})),
-      observe_counter_(obs::MetricRegistry::Default().GetCounter(
-          "eadrl_serve_requests_total", {{"kind", "observe"}})),
-      shed_counter_(obs::MetricRegistry::Default().GetCounter(
-          "eadrl_serve_shed_total")),
-      batch_counter_(obs::MetricRegistry::Default().GetCounter(
-          "eadrl_serve_waves_total")),
-      batch_rows_counter_(obs::MetricRegistry::Default().GetCounter(
-          "eadrl_serve_act_batch_rows_total")),
-      sessions_gauge_(
-          obs::MetricRegistry::Default().GetGauge("eadrl_serve_sessions")),
-      queue_depth_gauge_(
-          obs::MetricRegistry::Default().GetGauge("eadrl_serve_queue_depth")),
-      predict_latency_hist_(obs::MetricRegistry::Default().GetHistogram(
-          "eadrl_serve_request_seconds", {}, {{"kind", "predict"}})),
-      observe_latency_hist_(obs::MetricRegistry::Default().GetHistogram(
-          "eadrl_serve_request_seconds", {}, {{"kind", "observe"}})),
-      occupancy_hist_(obs::MetricRegistry::Default().GetHistogram(
-          "eadrl_serve_batch_occupancy",
-          obs::Histogram::LinearBounds(1.0, 1.0, 64))),
-      predict_window_(config.window),
-      shed_window_(config.window),
       predict_latency_window_(config.window, {}),
-      windowed_(config.windowed_stats),
-      queue_(
-          BatchingQueue::Options{config.max_queue, config.linger_us,
-                                 config.manual_drain, config.pool,
-                                 config.window,
-                                 /*track_queue_delay=*/config.windowed_stats},
-          [this](std::vector<Request> batch) { ProcessBatch(std::move(batch)); }) {
+      shed_window_(config.window),
+      queue_(BatchingQueue::Options{config.max_queue, config.manual_drain,
+                                    config.pool, config.window},
+             [this](std::vector<Request> batch) {
+               ProcessBatch(std::move(batch));
+             }) {
   if (config_.max_batch == 0) config_.max_batch = 1;
   if (config_.slo.enabled) {
     obs::SloTrackerOptions slo;
@@ -96,8 +72,6 @@ ForecastService::ForecastService(const ServeConfig& config)
     family.window = config_.window;
     policy_family_ = std::make_unique<obs::LabeledWindowedFamily>(family);
   }
-  obs_live_ = windowed_ || slo_ != nullptr || tenant_family_ != nullptr ||
-              policy_family_ != nullptr;
 }
 
 ForecastService::~ForecastService() { Flush(); }
@@ -134,7 +108,6 @@ Status ForecastService::CreateSession(const std::string& tenant,
                                 config_.drift_delta, config_.drift_lambda);
   EADRL_RETURN_IF_ERROR(table_.Insert(tenant, std::move(session)));
   sessions_created_.fetch_add(1, std::memory_order_relaxed);
-  sessions_gauge_->Set(static_cast<double>(table_.size()));
   EADRL_TELEMETRY("serve_session", {"tenant", tenant},
                   {"generation", generation}, {"policy_id", policy_id},
                   {"reset", false});
@@ -146,7 +119,6 @@ Status ForecastService::EvictSession(const std::string& tenant) {
     return Status::NotFound("no session for tenant '" + tenant + "'");
   }
   evictions_explicit_.fetch_add(1, std::memory_order_relaxed);
-  sessions_gauge_->Set(static_cast<double>(table_.size()));
   return Status::Ok();
 }
 
@@ -171,9 +143,7 @@ Status ForecastService::Admit(Request request, const std::string& tenant) {
   span.SetAttr("kind", kind);
   const uint64_t inflight = inflight_.load(std::memory_order_relaxed);
   if (inflight >= effective_max_inflight_) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    shed_counter_->Inc();
-    if (windowed_) shed_window_.Inc();
+    shed_window_.Inc();
     if (slo_ != nullptr) slo_->Record(kSloAvailabilityObjective, false);
     span.SetAttr("shed", true);
     EADRL_TELEMETRY("serve_shed", {"tenant", tenant}, {"kind", kind},
@@ -187,16 +157,40 @@ Status ForecastService::Admit(Request request, const std::string& tenant) {
   if (request.session == nullptr) {
     return Status::NotFound("no session for tenant '" + tenant + "'");
   }
+  const Session& session = *request.session;
   if (request.kind == Request::Kind::kPredict) {
     // Checked here, not in the drainer, so one tenant's malformed vector is
     // that tenant's error instead of an out-of-bounds read in
     // ReduceToActive or a contract abort that takes every tenant down.
-    const size_t pool = request.session->policy->combiner->num_models();
+    const size_t pool = session.policy->combiner->num_models();
     if (request.preds.size() != pool) {
       return Status::InvalidArgument(
           "predict for tenant '" + tenant + "': " +
           std::to_string(request.preds.size()) +
           " member predictions, policy pool has " + std::to_string(pool));
+    }
+  }
+  // Values enter the queue in policy units. The scaler is const after the
+  // session's constructor, so mapping here needs no lock; doing it here
+  // makes a scaler that overflows (a subnormal stddev, values near the edge
+  // of the double range) this tenant's typed error instead of a drainer
+  // contract abort that takes every tenant down.
+  if (session.has_scaler) {
+    bool finite = true;
+    if (request.kind == Request::Kind::kPredict) {
+      for (double& v : request.preds) {
+        v = session.scaler.Transform(v);
+        finite = finite && std::isfinite(v);
+      }
+    } else {
+      request.actual = session.scaler.Transform(request.actual);
+      finite = std::isfinite(request.actual);
+    }
+    if (!finite) {
+      return Status::InvalidArgument(std::string(kind) + " for tenant '" +
+                                     tenant +
+                                     "': non-finite in policy units after "
+                                     "the tenant's scaler");
     }
   }
   request.enqueue_time = std::chrono::steady_clock::now();
@@ -206,9 +200,7 @@ Status ForecastService::Admit(Request request, const std::string& tenant) {
   inflight_.fetch_add(1, std::memory_order_relaxed);
   if (!queue_.TryEnqueue(std::move(request))) {
     inflight_.fetch_sub(1, std::memory_order_relaxed);
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    shed_counter_->Inc();
-    if (windowed_) shed_window_.Inc();
+    shed_window_.Inc();
     if (slo_ != nullptr) slo_->Record(kSloAvailabilityObjective, false);
     span.SetAttr("shed", true);
     EADRL_TELEMETRY("serve_shed", {"tenant", tenant}, {"kind", kind},
@@ -306,11 +298,7 @@ StatusOr<SessionInfo> ForecastService::GetSessionInfo(
   return info;
 }
 
-size_t ForecastService::EvictIdleSessions() {
-  size_t evicted = table_.EvictIdle();
-  sessions_gauge_->Set(static_cast<double>(table_.size()));
-  return evicted;
-}
+size_t ForecastService::EvictIdleSessions() { return table_.EvictIdle(); }
 
 ServeStats ForecastService::Stats() const {
   ServeStats stats;
@@ -320,9 +308,7 @@ ServeStats ForecastService::Stats() const {
   stats.evictions_ttl = table_.ttl_evictions();
   stats.evictions_explicit =
       evictions_explicit_.load(std::memory_order_relaxed);
-  stats.predicts = predicts_done_.load(std::memory_order_relaxed);
   stats.observes = observes_done_.load(std::memory_order_relaxed);
-  stats.shed = shed_.load(std::memory_order_relaxed);
   stats.batches = batches_.load(std::memory_order_relaxed);
   stats.act_batches = act_batches_.load(std::memory_order_relaxed);
   stats.act_batch_rows = act_batch_rows_.load(std::memory_order_relaxed);
@@ -330,12 +316,13 @@ ServeStats ForecastService::Stats() const {
   stats.inflight = inflight_.load(std::memory_order_relaxed);
   stats.queue_depth = queue_.depth();
 
-  const obs::WindowedCounterSnapshot predicts = predict_window_.Snapshot();
-  const obs::WindowedCounterSnapshot sheds = shed_window_.Snapshot();
   const obs::WindowedHistogramSnapshot latency =
       predict_latency_window_.Snapshot();
-  stats.window_seconds = predicts.window_seconds;
-  stats.window_predict_qps = predicts.Rate();
+  const obs::WindowedCounterSnapshot sheds = shed_window_.Snapshot();
+  stats.predicts = predict_latency_window_.CumulativeCount();
+  stats.shed = static_cast<uint64_t>(sheds.cumulative);
+  stats.window_seconds = latency.window_seconds;
+  stats.window_predict_qps = latency.Rate();
   stats.window_shed_rate = sheds.Rate();
   stats.window_predict_p50_s = latency.values.Quantile(0.5);
   stats.window_predict_p99_s = latency.values.Quantile(0.99);
@@ -347,10 +334,6 @@ ServeStats ForecastService::Stats() const {
   stats.queue_delay_p99_s = delay.values.Quantile(0.99);
   stats.queue_delay_max_s = delay.values.max;
   return stats;
-}
-
-obs::HistogramSnapshot ForecastService::PredictLatencySnapshot() const {
-  return predict_latency_hist_->Snapshot();
 }
 
 obs::WindowedHistogramSnapshot ForecastService::PredictLatencyWindowSnapshot()
@@ -395,7 +378,6 @@ void ForecastService::ProcessBatch(std::vector<Request> batch) {
     for (size_t i : wave) done[i] = 1;
     processed += wave.size();
   }
-  queue_depth_gauge_->Set(static_cast<double>(queue_.depth()));
   // Per-batch evaluation gives breach/recover edges drain-rate resolution
   // without a dedicated evaluator thread (the exporter also evaluates on
   // its own tick, covering idle gaps).
@@ -406,7 +388,6 @@ void ForecastService::ProcessWave(std::vector<Request>* batch,
                                   const std::vector<size_t>& wave) {
   obs::Span span("serve_batch");
   batches_.fetch_add(1, std::memory_order_relaxed);
-  batch_counter_->Inc();
 
   // A predict awaiting its policy group's batched actor pass. The session
   // lock is held from state capture through apply: every session appears at
@@ -441,9 +422,6 @@ void ForecastService::ProcessWave(std::vector<Request>* batch,
       bool drifted = false;
       {
         std::lock_guard<chk::OrderedMutex> lock(session.session_mu);
-        const double actual = session.has_scaler
-                                  ? session.scaler.Transform(request.actual)
-                                  : request.actual;
         ++session.observes;
         if (session.has_last_prediction) {
           // Scale-free one-step absolute error feeds the per-tenant
@@ -452,7 +430,7 @@ void ForecastService::ProcessWave(std::vector<Request>* batch,
           const double sd =
               session.state.state_std > 0.0 ? session.state.state_std : 1.0;
           const double err =
-              std::fabs(session.last_prediction - actual) / sd;
+              std::fabs(session.last_prediction - request.actual) / sd;
           if (session.drift.Update(err)) {
             ++session.drift_events;
             drifted = true;
@@ -466,12 +444,9 @@ void ForecastService::ProcessWave(std::vector<Request>* batch,
       }
       ++observes_in_wave;
       observes_done_.fetch_add(1, std::memory_order_relaxed);
-      observe_counter_->Inc();
-      const double latency = SecondsSince(request.enqueue_time);
-      observe_latency_hist_->Observe(latency);
       if (rspan.armed()) {
         rspan.SetAttr("kind", "observe");
-        rspan.SetAttr("queue_wait_seconds", latency);
+        rspan.SetAttr("queue_wait_seconds", SecondsSince(request.enqueue_time));
       }
       inflight_.fetch_sub(1, std::memory_order_relaxed);
       if (request.on_observe) request.on_observe(Status::Ok());
@@ -479,11 +454,8 @@ void ForecastService::ProcessWave(std::vector<Request>* batch,
       Pending p;
       p.index = i;
       p.lock = std::unique_lock<chk::OrderedMutex>(session.session_mu);
-      const math::Vec scaled = session.has_scaler
-                                   ? session.scaler.Transform(request.preds)
-                                   : request.preds;
-      EADRL_CHK_FINITE(scaled, "serve predict member predictions");
-      p.reduced = session.policy->combiner->ReduceToActive(scaled);
+      EADRL_CHK_FINITE(request.preds, "serve predict member predictions");
+      p.reduced = session.policy->combiner->ReduceToActive(request.preds);
       p.state = core::OnlineStateVec(session.state.window,
                                      session.state.state_std);
       pending.push_back(std::move(p));
@@ -522,15 +494,12 @@ void ForecastService::ProcessWave(std::vector<Request>* batch,
     }
     act_batches_.fetch_add(1, std::memory_order_relaxed);
     act_batch_rows_.fetch_add(group.size(), std::memory_order_relaxed);
-    batch_rows_counter_->Inc(static_cast<double>(group.size()));
-    occupancy_hist_->Observe(static_cast<double>(group.size()));
 
     // One wall-clock and one window-clock reading cover the whole group:
     // every row completes "now", so per-row re-reads would only add ~8
-    // clock_gettime calls per request without changing any observation. The
-    // window clock is read only when a live-obs sink will consume it.
+    // clock_gettime calls per request without changing any observation.
     const auto completion = std::chrono::steady_clock::now();
-    const uint64_t obs_now = obs_live_ ? predict_window_.NowNs() : 0;
+    const uint64_t obs_now = predict_latency_window_.NowNs();
 
     for (size_t g = 0; g < group.size(); ++g) {
       Pending& p = pending[group[g]];
@@ -550,19 +519,15 @@ void ForecastService::ProcessWave(std::vector<Request>* batch,
       const double out =
           session.has_scaler ? session.scaler.Inverse(pred) : pred;
       p.lock.unlock();
-      predicts_done_.fetch_add(1, std::memory_order_relaxed);
-      predict_counter_->Inc();
       const double latency =
           std::chrono::duration<double>(completion - request.enqueue_time)
               .count();
-      predict_latency_hist_->Observe(latency);
-      // Windowed stats, SLO and drill-down are observed with the session
-      // lock released: the metric locks (obs_family/obs_window) are leaves
-      // and never nest under serve locks on this path.
-      if (windowed_) {
-        predict_window_.IncAt(obs_now);
-        predict_latency_window_.ObserveAt(obs_now, latency);
-      }
+      // The predict is counted before on_predict runs, so a caller that
+      // returns from Predict sees it in Stats(). Latency, SLO and
+      // drill-down are observed with the session lock released: the metric
+      // locks (obs_family/obs_window) are leaves and never nest under serve
+      // locks on this path.
+      predict_latency_window_.ObserveAt(obs_now, latency);
       if (slo_ != nullptr) {
         slo_->RecordLatencyAt(obs_now, kSloLatencyObjective, latency);
       }

@@ -16,7 +16,6 @@
 #include "core/eadrl.h"
 #include "math/vec.h"
 #include "obs/cardinality.h"
-#include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/window.h"
 #include "par/thread_pool.h"
@@ -38,23 +37,15 @@ struct ServeConfig {
   /// Admission bound on admitted-but-incomplete requests (0 = 2 * max_queue).
   /// Approximate under concurrency: racing admits may briefly overshoot.
   size_t max_inflight = 0;
-  size_t linger_us = 0;          ///< batching window (see BatchingQueue).
   bool manual_drain = false;     ///< tests: pump via DrainOnce().
   double drift_delta = 0.005;    ///< per-session Page-Hinkley tolerance.
   double drift_lambda = 3.0;     ///< per-session Page-Hinkley threshold.
   par::ThreadPool* pool = nullptr;  ///< nullptr = par::DefaultPool().
 
-  /// Sub-window layout + clock for the service's live windowed stats
-  /// (windowed QPS / p99 / shed rate, queue delay, drill-down families).
+  /// Sub-window layout + clock for the service's windowed instruments
+  /// (predict latency, sheds, queue delay, SLO, drill-down families).
   /// Tests inject a fake clock here; it propagates everywhere.
   obs::WindowOptions window;
-  /// Opt-in: maintain the live windowed stats (windowed QPS/p99/shed rate
-  /// in Stats(), queue-delay estimator). Off by default — the enabled path
-  /// costs a handful of atomic RMWs per predict (priced in
-  /// bench/window_bench.cc and BM_BatchingQueueEnqueueDrainTracked), which
-  /// the lean serving path does not pay unless asked. tools/eadrl_serve
-  /// turns this on.
-  bool windowed_stats = false;
   /// Cardinality caps for the per-tenant / per-policy latency drill-down
   /// (see obs::LabeledWindowedFamily); 0 (the default) disables that
   /// drill-down. Opt-in because each enabled family adds a mutex-serialized
@@ -77,6 +68,9 @@ struct ServeConfig {
 };
 
 /// Service-wide counters (monotone since construction, except gauges).
+/// `predicts` and `shed` are the exact cumulative totals of the windowed
+/// instruments that also give the window_* rates, so each quantity has one
+/// record.
 struct ServeStats {
   uint64_t sessions = 0;          ///< resident right now.
   uint64_t sessions_created = 0;
@@ -191,7 +185,8 @@ class ForecastService {
   /// Admits a predict request: `preds` are the member forecasts in tenant
   /// units; `done` receives the combined forecast (tenant units) on the
   /// drainer thread. Returns the admission decision: InvalidArgument (a
-  /// non-finite member forecast, or a vector whose length is not the
+  /// non-finite member forecast, one the tenant's scaler maps to a
+  /// non-finite policy-unit value, or a vector whose length is not the
   /// policy's pool size), NotFound (no session) or ResourceExhausted
   /// (shed); once Ok is returned, `done` will be called. `done` must not
   /// throw.
@@ -201,7 +196,7 @@ class ForecastService {
   /// Admits an observe request feeding the tenant's realized value (tenant
   /// units) to its drift detector. `done` (optional) runs on the drainer
   /// thread; same admission semantics as PredictAsync (InvalidArgument for
-  /// a non-finite actual).
+  /// an actual that is non-finite in tenant or policy units).
   Status ObserveActualAsync(const std::string& tenant, double actual,
                             std::function<void(Status)> done = {});
 
@@ -218,10 +213,8 @@ class ForecastService {
 
   ServeStats Stats() const;
 
-  /// End-to-end predict latency (admission to completion callback), seconds.
-  obs::HistogramSnapshot PredictLatencySnapshot() const;
-
-  /// Windowed predict latency over the last ServeConfig::window span.
+  /// Windowed end-to-end predict latency (admission to completion
+  /// callback), seconds, over the last ServeConfig::window span.
   obs::WindowedHistogramSnapshot PredictLatencyWindowSnapshot() const;
 
   /// Windowed backlog residence time (see BatchingQueue::QueueDelaySnapshot).
@@ -273,9 +266,7 @@ class ForecastService {
   SessionTable table_;
   std::atomic<uint64_t> next_generation_{0};
 
-  std::atomic<uint64_t> predicts_done_{0};
   std::atomic<uint64_t> observes_done_{0};
-  std::atomic<uint64_t> shed_{0};
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> act_batches_{0};
   std::atomic<uint64_t> act_batch_rows_{0};
@@ -284,35 +275,17 @@ class ForecastService {
   std::atomic<uint64_t> evictions_explicit_{0};
   std::atomic<uint64_t> inflight_{0};
 
-  // Cached from the default registry (stable pointers; see DESIGN.md,
-  // "Observability").
-  obs::Counter* predict_counter_;
-  obs::Counter* observe_counter_;
-  obs::Counter* shed_counter_;
-  obs::Counter* batch_counter_;
-  obs::Counter* batch_rows_counter_;
-  obs::Gauge* sessions_gauge_;
-  obs::Gauge* queue_depth_gauge_;
-  obs::Histogram* predict_latency_hist_;
-  obs::Histogram* observe_latency_hist_;
-  obs::Histogram* occupancy_hist_;
-
-  // Service-owned windowed stats (NOT in the default registry: they follow
-  // ServeConfig::window's injected clock, and each service instance gets its
-  // own window — exporters reach them through sections, see DESIGN.md "Live
-  // serving observability"). All internally synchronized.
-  obs::WindowedCounter predict_window_ EADRL_UNGUARDED;
-  obs::WindowedCounter shed_window_ EADRL_UNGUARDED;
+  // The service's own record of predicts (count, rate, latency) and sheds.
+  // Not in the process-wide registry: each service counts only its own
+  // requests on ServeConfig::window's clock, and exporters reach them
+  // through sections (DESIGN.md, "Live serving observability"). Internally
+  // synchronized.
   obs::WindowedHistogram predict_latency_window_ EADRL_UNGUARDED;
+  obs::WindowedCounter shed_window_ EADRL_UNGUARDED;
   /// Null unless the corresponding config enables them.
   std::unique_ptr<obs::SloTracker> slo_ EADRL_UNGUARDED;
   std::unique_ptr<obs::LabeledWindowedFamily> tenant_family_ EADRL_UNGUARDED;
   std::unique_ptr<obs::LabeledWindowedFamily> policy_family_ EADRL_UNGUARDED;
-  /// ServeConfig::windowed_stats: feed the windowed counters above.
-  bool windowed_ = false;
-  /// Any live-obs sink enabled (windowed stats, SLO, drill-down): the
-  /// completion path reads the window clock only when something consumes it.
-  bool obs_live_ = false;
 
   /// Declared last: its destructor drains while every member above is alive
   /// (ProcessBatch touches the table, counters and metrics).

@@ -81,7 +81,6 @@ TEST(ServeParityTest, BatchedReplayMatchesSerialReferenceBitExact) {
   // edges firing mid-replay) and per-tenant/per-policy drill-down with a cap
   // below kTenants (overflow path active). Instrumentation sits outside the
   // numeric path, so parity must remain bit-exact regardless.
-  config.windowed_stats = true;
   config.slo.enabled = true;
   config.slo.latency_threshold_seconds = 1e-12;
   config.tenant_drilldown = 3;

@@ -163,7 +163,7 @@ TEST(ServeRaceTest, ConcurrentTenantsChurnAndIntrospection) {
                                     kOpsPerProducer +
                                     kChurnOps);
       (void)service.GetSessionInfo("p0-0");
-      (void)service.PredictLatencySnapshot();
+      (void)service.PredictLatencyWindowSnapshot();
       std::this_thread::yield();
     }
   });

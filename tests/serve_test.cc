@@ -21,6 +21,8 @@
 #include "core/eadrl.h"
 #include "exp/experiment.h"
 #include "math/vec.h"
+#include "par/thread_pool.h"
+#include "serve/replay.h"
 #include "serve/service.h"
 #include "ts/datasets.h"
 #include "ts/scaler.h"
@@ -172,6 +174,81 @@ TEST(ForecastServiceTest, NonFiniteInputIsInvalidArgument) {
   EXPECT_EQ(service.Stats().observes, 0u);
   EXPECT_TRUE(service.Predict("good", Preds(0)).ok());
   EXPECT_TRUE(service.ObserveActual("good", Actual(0)).ok());
+}
+
+// A tenant scaler that overflows turns finite tenant-unit values into
+// non-finite policy units: a subnormal stddev, or a mean and value near the
+// edge of the double range. Admission refuses them as that tenant's typed
+// error; the drainer's finiteness contract (forced on in this binary) never
+// sees them, and other tenants keep being served.
+TEST(ForecastServiceTest, ScalerOverflowIsInvalidArgument) {
+  serve::ForecastService service(ManualConfig());
+  const size_t policy_id = service.RegisterPolicy(NewCombiner());
+  const ts::StandardScaler subnormal =
+      ts::StandardScaler::FromMoments(0.0, 1e-320);
+  const ts::StandardScaler edge =
+      ts::StandardScaler::FromMoments(-1.5e308, 1.0);
+  ASSERT_TRUE(service.CreateSession("subnormal", policy_id, &subnormal).ok());
+  ASSERT_TRUE(service.CreateSession("edge", policy_id, &edge).ok());
+  ASSERT_TRUE(service.CreateSession("good", policy_id).ok());
+
+  const math::Vec ones(Preds(0).size(), 1.0);
+  EXPECT_EQ(service.Predict("subnormal", ones).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.ObserveActual("subnormal", 1.0).code(),
+            StatusCode::kInvalidArgument);
+  const math::Vec huge(Preds(0).size(), 1.5e308);
+  EXPECT_EQ(service.Predict("edge", huge).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.ObserveActual("edge", 1.5e308).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.Stats().queue_depth, 0u);  // never enqueued.
+  EXPECT_EQ(service.Stats().predicts, 0u);
+  EXPECT_EQ(service.Stats().observes, 0u);
+
+  EXPECT_TRUE(service.Predict("good", Preds(0)).ok());
+  EXPECT_TRUE(service.ObserveActual("good", Actual(0)).ok());
+  EXPECT_EQ(service.Stats().predicts, 1u);
+}
+
+// A replay reports only its own latencies. Service A holds one request in
+// its queue for 200 ms; a replay on a fresh service B in the same process
+// must not see that request in its p50/p99/max.
+TEST(ForecastServiceTest, ReplayLatencyIsTheReplaysOwn) {
+  {
+    serve::ForecastService slow(ManualConfig());
+    const size_t policy_id = slow.RegisterPolicy(NewCombiner());
+    ASSERT_TRUE(slow.CreateSession("a", policy_id).ok());
+    bool done = false;
+    ASSERT_TRUE(slow.PredictAsync("a", Preds(0), [&done](StatusOr<double> r) {
+                      EXPECT_TRUE(r.ok());
+                      done = true;
+                    }).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_TRUE(slow.DrainOnce());
+    EXPECT_TRUE(done);
+  }
+
+  // A serial pool drains inline on the sender, so B's latencies are the
+  // cost of one predict, far below A's 200 ms.
+  par::ThreadPool serial(1);
+  serve::ServeConfig config;
+  config.pool = &serial;
+  serve::ForecastService fresh(config);
+  const size_t policy_id = fresh.RegisterPolicy(NewCombiner());
+  serve::ReplayOptions replay;
+  replay.tenants = 4;
+  replay.requests = 20;
+  replay.target_qps = 2000.0;
+  replay.policy_id = policy_id;
+  const auto& pool = GetTrained().pool;
+  StatusOr<serve::ReplayReport> report = serve::RunOpenLoopReplay(
+      &fresh, pool.test_preds, pool.test_actuals, replay);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->accepted, 20u);
+  EXPECT_GT(report->predict_max_ms, 0.0);
+  EXPECT_LT(report->predict_max_ms, 100.0);
+  EXPECT_LE(report->predict_p99_ms, report->predict_max_ms);
 }
 
 TEST(ForecastServiceTest, QueueBoundShedsWithTypedStatus) {
@@ -394,7 +471,6 @@ void SetFakeNowSeconds(double seconds) {
 
 serve::ServeConfig FakeClockConfig() {
   serve::ServeConfig config = ManualConfig();
-  config.windowed_stats = true;
   config.window.buckets = 4;
   config.window.tick_seconds = 1.0;
   config.window.now_ns = &FakeNow;
@@ -435,6 +511,30 @@ TEST(ForecastServiceObsTest, WindowedStatsAndQueueDelayExposed) {
   EXPECT_DOUBLE_EQ(stats.window_predict_qps, 0.0);
   EXPECT_EQ(stats.queue_delay_count, 0u);
   EXPECT_EQ(stats.predicts, 3u);
+}
+
+// One record per quantity, on a default config with only the clock
+// injected: the windowed latency instrument is the predict count and rate,
+// and every drained request's queue delay is recorded.
+TEST(ForecastServiceObsTest, DefaultConfigKeepsOneRecordPerQuantity) {
+  SetFakeNowSeconds(50.0);
+  serve::ServeConfig config;
+  config.window.now_ns = &FakeNow;
+  serve::ForecastService service(config);
+  const size_t policy_id = service.RegisterPolicy(NewCombiner());
+  ASSERT_TRUE(service.CreateSession("a", policy_id).ok());
+
+  for (size_t step = 0; step < 3; ++step) {
+    ASSERT_TRUE(service.Predict("a", Preds(step)).ok());
+    ASSERT_TRUE(service.ObserveActual("a", Actual(step)).ok());
+  }
+  SetFakeNowSeconds(50.5);
+  const serve::ServeStats stats = service.Stats();
+  EXPECT_EQ(stats.predicts, 3u);
+  EXPECT_EQ(stats.predicts,
+            service.PredictLatencyWindowSnapshot().values.count);
+  EXPECT_GT(stats.window_predict_qps, 0.0);
+  EXPECT_EQ(stats.queue_delay_count, stats.predicts + stats.observes);
 }
 
 TEST(ForecastServiceObsTest, ShedRateLandsInTheWindow) {

@@ -1,19 +1,16 @@
 // Sliding-window metrics (src/obs/window.h): rotation at tick boundaries
 // under an injected fake clock, full-window expiry, early-window rate
 // normalization, the exact-when-small quantile path (parity against a
-// sorted-vector order-statistic reference), snapshot merging, and the
-// windowed kinds of MetricRegistry with their exporter renderings.
+// sorted-vector order-statistic reference) and snapshot merging.
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/json.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/window.h"
@@ -285,44 +282,6 @@ TEST(HistogramSnapshotTest, MergePastBudgetDropsSamplesKeepsTotals) {
               1e-9);
   EXPECT_DOUBLE_EQ(merged.min, 0.001);
   EXPECT_DOUBLE_EQ(merged.max, 0.4);
-}
-
-// ---------------------------------------------------------------------------
-// MetricRegistry windowed kinds.
-// ---------------------------------------------------------------------------
-
-TEST(MetricRegistryWindowedTest, StablePointersAndRenderings) {
-  SetNowSeconds(0.0);
-  MetricRegistry registry;
-  const WindowOptions window = FakeWindow(4, 1.0);
-  WindowedCounter* wc = registry.GetWindowedCounter("demo_requests", window);
-  WindowedHistogram* wh =
-      registry.GetWindowedHistogram("demo_latency_seconds", window);
-  ASSERT_NE(wc, nullptr);
-  ASSERT_NE(wh, nullptr);
-  // First registration wins; later lookups return the same instance.
-  EXPECT_EQ(registry.GetWindowedCounter("demo_requests", FakeWindow(99, 9.0)),
-            wc);
-  EXPECT_EQ(registry.GetWindowedHistogram("demo_latency_seconds", window), wh);
-
-  wc->Inc(3.0);
-  wh->Observe(0.002);
-  wh->Observe(0.004);
-
-  const std::string js = registry.ToJson();
-  auto parsed = json::Parse(js);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const json::Value* family = parsed.value().Find("demo_requests");
-  ASSERT_NE(family, nullptr);
-  EXPECT_NE(js.find("demo_latency_seconds"), std::string::npos);
-
-  const std::string prom = registry.ToPrometheus();
-  EXPECT_NE(prom.find("demo_requests"), std::string::npos);
-  EXPECT_NE(prom.find("demo_latency_seconds"), std::string::npos);
-
-  const std::string csv = registry.ToCsv();
-  EXPECT_NE(csv.find("demo_requests"), std::string::npos);
-  EXPECT_NE(csv.find("demo_latency_seconds"), std::string::npos);
 }
 
 }  // namespace

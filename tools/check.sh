@@ -142,7 +142,8 @@ stage_slo_smoke() {
   # exits nonzero unless an slo_breach edge fired (--expect-slo-breach), the
   # telemetry stream must contain the registered slo_breach event, and both
   # exporter formats must validate — the Prometheus snapshot against the
-  # exposition grammar (with the SLO series present) and a JSON snapshot
+  # exposition grammar (with the SLO series and the serve section's
+  # cumulative predict count present) and a JSON snapshot
   # against the eadrl-metrics schema (with the windowed serve stats present).
   local slo_dir
   slo_dir="$(mktemp -d)"
@@ -156,7 +157,7 @@ stage_slo_smoke() {
   grep -q '"kind":"slo_breach"' "$slo_dir/events.jsonl"
   "$SRC_DIR/build-gate/tools/eadrl_metrics_check" \
     --require eadrl_slo_burn_rate --require eadrl_serve_window_predict_qps \
-    "$slo_dir/metrics.prom"
+    --require eadrl_serve_predicts_total "$slo_dir/metrics.prom"
   "$SRC_DIR/build-gate/tools/eadrl_serve" \
     --tenants 16 --requests 400 --qps 50000 --episodes 2 \
     --threads "$THREADS" --slo-latency-ms 50 \

@@ -318,7 +318,6 @@ Status RunServeWorkload(size_t episodes, std::vector<BenchEntry>* entries) {
   eadrl::serve::ServeConfig config;
   config.max_batch = 32;
   config.max_queue = 8192;
-  config.linger_us = 200;
   eadrl::serve::ForecastService service(config);
   const size_t policy_id = service.RegisterPolicy(std::move(combiner));
 

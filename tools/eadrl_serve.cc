@@ -21,7 +21,7 @@
 //   eadrl_serve [--tenants N] [--requests N] [--qps Q]
 //               [--schedule poisson|bursty] [--burst-factor F]
 //               [--max-batch N] [--max-queue N] [--max-inflight N]
-//               [--linger-us U] [--shards N] [--max-sessions N] [--ttl SEC]
+//               [--shards N] [--max-sessions N] [--ttl SEC]
 //               [--episodes N] [--threads N] [--seed S] [--no-observe]
 //               [--trace FILE] [--profile-report]
 //               [--expect-shed] [--min-occupancy X]
@@ -36,6 +36,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -71,7 +72,6 @@ struct Args {
   size_t max_batch = 64;
   size_t max_queue = 4096;
   size_t max_inflight = 0;
-  size_t linger_us = 200;
   size_t shards = 16;
   size_t max_sessions = 0;
   double ttl_seconds = 0.0;
@@ -99,8 +99,8 @@ void Usage() {
       "usage: eadrl_serve [--tenants N] [--requests N] [--qps Q]\n"
       "                   [--schedule poisson|bursty] [--burst-factor F]\n"
       "                   [--max-batch N] [--max-queue N] [--max-inflight N]\n"
-      "                   [--linger-us U] [--shards N] [--max-sessions N]\n"
-      "                   [--ttl SEC] [--episodes N] [--threads N] [--seed S]\n"
+      "                   [--shards N] [--max-sessions N] [--ttl SEC]\n"
+      "                   [--episodes N] [--threads N] [--seed S]\n"
       "                   [--no-observe] [--trace FILE] [--profile-report]\n"
       "                   [--expect-shed] [--min-occupancy X]\n"
       "                   [--report-interval SEC] [--export-metrics FILE]\n"
@@ -151,9 +151,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--max-inflight") {
       if ((v = next("--max-inflight")) == nullptr) return false;
       args->max_inflight = std::strtoul(v, nullptr, 10);
-    } else if (flag == "--linger-us") {
-      if ((v = next("--linger-us")) == nullptr) return false;
-      args->linger_us = std::strtoul(v, nullptr, 10);
     } else if (flag == "--shards") {
       if ((v = next("--shards")) == nullptr) return false;
       args->shards = std::strtoul(v, nullptr, 10);
@@ -236,24 +233,35 @@ std::string ServeStatsJson(const eadrl::serve::ForecastService& service) {
   return out.str();
 }
 
-/// "serve" exporter section, Prometheus flavour: the windowed gauges that a
-/// scraper cannot derive from the cumulative registry metrics.
+/// "serve" exporter section, Prometheus flavour: the only export path for
+/// the service's own quantities — cumulative counts, current gauges and the
+/// windowed rates and quantiles, all from one Stats() reading.
 void AppendServeStatsProm(const eadrl::serve::ForecastService& service,
                           std::string* out) {
   const eadrl::serve::ServeStats s = service.Stats();
   char line[192];
-  auto emit = [out, &line](const char* name, double value) {
+  auto counter = [out, &line](const char* name, uint64_t value) {
+    std::snprintf(line, sizeof(line), "# TYPE %s counter\n%s %llu\n", name,
+                  name, static_cast<unsigned long long>(value));
+    out->append(line);
+  };
+  auto gauge = [out, &line](const char* name, double value) {
     std::snprintf(line, sizeof(line), "# TYPE %s gauge\n%s %.9g\n", name, name,
                   value);
     out->append(line);
   };
-  emit("eadrl_serve_window_predict_qps", s.window_predict_qps);
-  emit("eadrl_serve_window_shed_rate", s.window_shed_rate);
-  emit("eadrl_serve_window_predict_p50_seconds", s.window_predict_p50_s);
-  emit("eadrl_serve_window_predict_p99_seconds", s.window_predict_p99_s);
-  emit("eadrl_serve_queue_delay_p50_seconds", s.queue_delay_p50_s);
-  emit("eadrl_serve_queue_delay_p99_seconds", s.queue_delay_p99_s);
-  emit("eadrl_serve_queue_delay_max_seconds", s.queue_delay_max_s);
+  counter("eadrl_serve_predicts_total", s.predicts);
+  counter("eadrl_serve_observes_total", s.observes);
+  counter("eadrl_serve_shed_total", s.shed);
+  gauge("eadrl_serve_sessions", static_cast<double>(s.sessions));
+  gauge("eadrl_serve_queue_depth", static_cast<double>(s.queue_depth));
+  gauge("eadrl_serve_window_predict_qps", s.window_predict_qps);
+  gauge("eadrl_serve_window_shed_rate", s.window_shed_rate);
+  gauge("eadrl_serve_window_predict_p50_seconds", s.window_predict_p50_s);
+  gauge("eadrl_serve_window_predict_p99_seconds", s.window_predict_p99_s);
+  gauge("eadrl_serve_queue_delay_p50_seconds", s.queue_delay_p50_s);
+  gauge("eadrl_serve_queue_delay_p99_seconds", s.queue_delay_p99_s);
+  gauge("eadrl_serve_queue_delay_max_seconds", s.queue_delay_max_s);
 }
 
 int Run(const Args& args) {
@@ -291,11 +299,9 @@ int Run(const Args& args) {
   config.max_batch = args.max_batch;
   config.max_queue = args.max_queue;
   config.max_inflight = args.max_inflight;
-  config.linger_us = args.linger_us;
   config.pool = &serve_pool;
-  // Windowed stats and drill-down are opt-in in ServeConfig (hot-path
-  // cost); the load driver is exactly where the live view pays for itself.
-  config.windowed_stats = true;
+  // Drill-down is opt-in in ServeConfig (a label lookup per predict); the
+  // load driver is exactly where the live view pays for itself.
   config.tenant_drilldown = 64;
   config.policy_drilldown = 16;
   if (args.slo_latency_ms > 0.0) {
