@@ -146,7 +146,7 @@ void BM_DemscOnlineStep(benchmark::State& state) {
 }
 BENCHMARK(BM_DemscOnlineStep);
 
-// --- Observability hot-path overhead (the baseline BENCH_*.json tracks). ---
+// --- Observability hot-path overhead (counter/histogram/event costs). ---
 
 void BM_ObsCounterInc(benchmark::State& state) {
   eadrl::obs::Counter counter;

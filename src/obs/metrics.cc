@@ -8,32 +8,10 @@
 
 #include "common/check.h"
 #include "common/string_util.h"
+#include "obs/atomic_double.h"
 
 namespace eadrl::obs {
 namespace {
-
-// Atomic CAS-add for doubles (std::atomic<double>::fetch_add is C++20 but
-// not universally lock-free; the loop compiles to the same code where it is).
-void AtomicAdd(std::atomic<double>* target, double delta) {
-  double cur = target->load(std::memory_order_relaxed);
-  while (!target->compare_exchange_weak(cur, cur + delta,
-                                        std::memory_order_relaxed)) {
-  }
-}
-
-void AtomicMin(std::atomic<double>* target, double value) {
-  double cur = target->load(std::memory_order_relaxed);
-  while (value < cur && !target->compare_exchange_weak(
-                            cur, value, std::memory_order_relaxed)) {
-  }
-}
-
-void AtomicMax(std::atomic<double>* target, double value) {
-  double cur = target->load(std::memory_order_relaxed);
-  while (value > cur && !target->compare_exchange_weak(
-                            cur, value, std::memory_order_relaxed)) {
-  }
-}
 
 std::string LabelSignature(const Labels& sorted) {
   std::string sig;

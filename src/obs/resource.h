@@ -10,10 +10,9 @@ namespace eadrl::obs {
 class MetricRegistry;
 
 /// Process-wide resource usage at one point in time, from
-/// getrusage(RUSAGE_SELF) plus /proc/self/statm (see DESIGN.md, "Perf
-/// trajectory & resource observability"). Sampling is a syscall + one small
-/// file read — cheap enough for per-workload bracketing, too slow for inner
-/// loops.
+/// getrusage(RUSAGE_SELF) plus /proc/self/statm (see DESIGN.md, "Resource
+/// observability"). Sampling is a syscall + one small file read — cheap
+/// enough for per-workload bracketing, too slow for inner loops.
 struct ResourceSample {
   uint64_t peak_rss_bytes = 0;     ///< high-water mark (ru_maxrss).
   uint64_t current_rss_bytes = 0;  ///< resident set now; 0 off-Linux.

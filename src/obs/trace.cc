@@ -11,6 +11,7 @@
 
 #include "chk/chk.h"
 #include "common/string_util.h"
+#include "obs/atomic_double.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
 
@@ -78,14 +79,6 @@ std::map<uint32_t, std::string>& ThreadNames() {
                                               // purpose so late-exiting
                                               // threads can still register
   return *names;
-}
-
-// Lock-free double accumulation (same CAS loop as the metrics backend).
-void AtomicAddDouble(std::atomic<double>* target, double delta) {
-  double cur = target->load(std::memory_order_relaxed);
-  while (!target->compare_exchange_weak(cur, cur + delta,
-                                        std::memory_order_relaxed)) {
-  }
 }
 
 // Cross-thread aggregate behind SpanProfileSnapshot(): one record per span
@@ -424,8 +417,8 @@ void Span::Finish() {
     families.alloc_bytes->Inc(static_cast<double>(self_alloc_bytes));
   }
   families.stats->count.fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(&families.stats->total_seconds, dur_seconds);
-  AtomicAddDouble(&families.stats->self_seconds, self_seconds);
+  AtomicAdd(&families.stats->total_seconds, dur_seconds);
+  AtomicAdd(&families.stats->self_seconds, self_seconds);
   families.stats->alloc_count.fetch_add(self_alloc_count,
                                         std::memory_order_relaxed);
   families.stats->alloc_bytes.fetch_add(self_alloc_bytes,

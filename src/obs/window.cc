@@ -7,34 +7,12 @@
 #include <utility>
 
 #include "common/check.h"
+#include "obs/atomic_double.h"
 
 namespace eadrl::obs {
 namespace {
 
 constexpr size_t kSlotSampleCap = HistogramSnapshot::kExactQuantileSamples;
-
-// Same CAS-add/min/max helpers as metrics.cc (std::atomic<double>::fetch_add
-// is C++20 and not universally lock-free).
-void AtomicAdd(std::atomic<double>* target, double delta) {
-  double cur = target->load(std::memory_order_relaxed);
-  while (!target->compare_exchange_weak(cur, cur + delta,
-                                        std::memory_order_relaxed)) {
-  }
-}
-
-void AtomicMin(std::atomic<double>* target, double value) {
-  double cur = target->load(std::memory_order_relaxed);
-  while (value < cur && !target->compare_exchange_weak(
-                            cur, value, std::memory_order_relaxed)) {
-  }
-}
-
-void AtomicMax(std::atomic<double>* target, double value) {
-  double cur = target->load(std::memory_order_relaxed);
-  while (value > cur && !target->compare_exchange_weak(
-                            cur, value, std::memory_order_relaxed)) {
-  }
-}
 
 uint64_t TickNanos(double tick_seconds) {
   EADRL_CHECK_GT(tick_seconds, 0.0);

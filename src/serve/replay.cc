@@ -82,6 +82,7 @@ StatusOr<ReplayReport> RunOpenLoopReplay(ForecastService* service,
   uint64_t submitted = 0;
   uint64_t accepted = 0;
   uint64_t predict_shed = 0;
+  uint64_t stream_wraps = 0;
 
   for (size_t i = 0; i < options.requests; ++i) {
     const double rate = options.schedule == ReplayOptions::Schedule::kPoisson
@@ -100,6 +101,7 @@ StatusOr<ReplayReport> RunOpenLoopReplay(ForecastService* service,
 
     const size_t tenant = rng.Index(options.tenants);
     const size_t row = next_step[tenant] % preds.rows();
+    if (row == 0 && next_step[tenant] > 0) ++stream_wraps;
     ++next_step[tenant];
     math::Vec member_preds = scalers[tenant].Inverse(preds.Row(row));
     const double actual_raw = scalers[tenant].Inverse(actuals[row]);
@@ -169,6 +171,7 @@ StatusOr<ReplayReport> RunOpenLoopReplay(ForecastService* service,
   report.act_batch_rows = after.act_batch_rows - before.act_batch_rows;
   report.drift_events = after.drift_events - before.drift_events;
   report.sessions = after.sessions;
+  report.stream_wraps = stream_wraps;
   return report;
 }
 

@@ -64,6 +64,9 @@ struct ReplayReport {
   uint64_t act_batch_rows = 0;
   uint64_t drift_events = 0;
   uint64_t sessions = 0;       ///< resident after the replay.
+  /// Predicts whose tenant cursor restarted the stream at row 0 after
+  /// consuming every row: each one puts a jump into that tenant's series.
+  uint64_t stream_wraps = 0;
 
   /// Mean rows per batched actor pass during the replay (> 1 means
   /// cross-tenant batching actually happened).
@@ -75,7 +78,8 @@ struct ReplayReport {
 };
 
 /// Replays `options.requests` predict (plus optional observe) requests of
-/// the validation stream `preds`/`actuals` (policy units; rows cycle) against
+/// the validation stream `preds`/`actuals` (policy units; each tenant's rows
+/// cycle, counted in ReplayReport::stream_wraps) against
 /// `service`. Blocks until every admitted request completed. InvalidArgument
 /// on inconsistent inputs; session-creation failures propagate.
 StatusOr<ReplayReport> RunOpenLoopReplay(ForecastService* service,

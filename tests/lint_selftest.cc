@@ -254,6 +254,26 @@ TEST(LintTest, SpanRegistryStalenessFlagsUnusedEntries) {
   EXPECT_NE(findings[0].message.find("predict"), std::string::npos);
 }
 
+TEST(LintTest, PerfbenchLiteralKeepsSpanEntryAlive) {
+  // perfbench records span names through its own recorder, never through
+  // obs::Span, so only the literal collector sees them.
+  const std::string perfbench_source =
+      "ScopedSpan root(rec, \"bench_predict_loop\", \"probes\");\n"
+      "rec->Record(\"serve_admission\", \"serve.admit\", t0, t1, 0);\n";
+  EXPECT_TRUE(UsedSpans(perfbench_source).empty());
+  std::set<std::string> used = UsedSpans(ReadFixture("span_registry.good.cc"));
+  const std::set<std::string> literals = StringLiterals(perfbench_source);
+  used.insert(literals.begin(), literals.end());
+
+  const Config config =
+      SpanRegistryWith({"train", "bench_predict_loop", "retired_workload"});
+  const std::vector<Finding> findings =
+      CheckSpanRegistryStaleness("src/obs/spans.def", config, used);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "span-registry-stale");
+  EXPECT_NE(findings[0].message.find("retired_workload"), std::string::npos);
+}
+
 TEST(LintTest, ParseLockOrderDefReadsNamesOrderAndFlagsDuplicates) {
   const std::string registry =
       "EADRL_LOCK(serve_queue, \"batching queue\")\n"

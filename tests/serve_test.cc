@@ -251,6 +251,34 @@ TEST(ForecastServiceTest, ReplayLatencyIsTheReplaysOwn) {
   EXPECT_LE(report->predict_p99_ms, report->predict_max_ms);
 }
 
+TEST(ForecastServiceTest, ReplayCountsStreamWraps) {
+  const auto& pool = GetTrained().pool;
+  const size_t rows = pool.test_preds.rows();
+  ASSERT_GT(rows, 0u);
+  // One tenant walks the stream in order: rows requests end on the last row,
+  // and each further full pass restarts it once.
+  struct Case {
+    size_t requests;
+    uint64_t wraps;
+  };
+  for (const auto& [requests, wraps] : {Case{rows, 0}, Case{2 * rows + 1, 2}}) {
+    par::ThreadPool serial(1);
+    serve::ServeConfig config;
+    config.pool = &serial;
+    serve::ForecastService service(config);
+    serve::ReplayOptions replay;
+    replay.tenants = 1;
+    replay.requests = requests;
+    replay.target_qps = 1e6;
+    replay.policy_id = service.RegisterPolicy(NewCombiner());
+    StatusOr<serve::ReplayReport> report = serve::RunOpenLoopReplay(
+        &service, pool.test_preds, pool.test_actuals, replay);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->submitted, requests);
+    EXPECT_EQ(report->stream_wraps, wraps) << requests << " requests";
+  }
+}
+
 TEST(ForecastServiceTest, QueueBoundShedsWithTypedStatus) {
   serve::ServeConfig config = ManualConfig();
   config.max_queue = 3;

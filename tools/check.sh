@@ -1,14 +1,19 @@
 #!/usr/bin/env bash
 # Full correctness gate (see DESIGN.md, "Correctness tooling"):
 #
-#   stage 1  lint    eadrl_lint over src/ tests/ bench/ tools/ examples/
+#   stage 1  lint    eadrl_lint over src/ tests/ bench/ tools/ examples/ (and
+#                    the span-name literals of perfbench/src for the
+#                    span-registry-stale check)
 #   stage 2  werror  zero-warning build of the whole tree (-Werror is the
 #                    default; EADRL_WERROR=OFF is the escape hatch)
 #   stage 3  trace   smoke: example_quickstart --trace, then eadrl_trace_check
 #                    validates the exported Chrome trace (shape + span names)
-#   stage 4  bench   smoke: eadrl_bench records a macro-workload snapshot,
-#                    self-compares it (must pass), then proves the comparator
-#                    catches an injected 2x synthetic regression (must fail)
+#   stage 4  perfbench
+#                    the repo benchmark (perfbench/, see its README): its own
+#                    unit tests (run.py --selftest), then a short traced
+#                    serve_steady run that must exit 0 — the exit covers its
+#                    output checks and eadrl_trace_check of both phases'
+#                    traces, so an unregistered span name fails here
 #   stage 5  serve   smoke: eadrl_serve replays Poisson traffic against the
 #                    serving layer (clean run + validated trace), then an
 #                    oversubscribed run that must shed (--expect-shed)
@@ -81,40 +86,14 @@ stage_trace_smoke() {
   rm -rf "$trace_dir"
 }
 
-stage_bench_smoke() {
-  # Perf-trajectory smoke (see DESIGN.md, "Perf trajectory & resource
-  # observability"): record a quick snapshot from the macro workloads only
-  # (the google-benchmark suites are too slow for a gate), check that a
-  # snapshot compares clean against itself, and self-test the comparator by
-  # injecting a synthetic 2x slowdown — --compare must exit nonzero on it.
-  local bench_dir
-  bench_dir="$(mktemp -d)"
-  "$SRC_DIR/build-gate/tools/eadrl_bench" \
-    --skip-suites --episodes 2 --label smoke --out "$bench_dir/a.json"
-  "$SRC_DIR/build-gate/tools/eadrl_bench" \
-    --compare "$bench_dir/a.json" "$bench_dir/a.json"
-  "$SRC_DIR/build-gate/tools/eadrl_bench" \
-    --inject-regression "$bench_dir/a.json" "$bench_dir/slow.json" \
-    --factor 2.0
-  if "$SRC_DIR/build-gate/tools/eadrl_bench" \
-    --compare "$bench_dir/a.json" "$bench_dir/slow.json"; then
-    echo "bench comparator MISSED an injected 2x regression" >&2
-    exit 1
-  fi
-  # Advisory drift check against the latest committed snapshot: macro
-  # workloads on a developer box are too noisy for a hard gate, so a
-  # regression verdict here warns instead of failing (the committed
-  # BENCH_<n>.json lineage is the authoritative record).
-  local latest
-  latest="$(ls "$SRC_DIR"/BENCH_*.json 2>/dev/null | sort -V | tail -n 1)"
-  if [[ -n "$latest" ]]; then
-    if ! "$SRC_DIR/build-gate/tools/eadrl_bench" \
-      --compare "$latest" "$bench_dir/a.json"; then
-      echo "ADVISORY: smoke snapshot drifted from $(basename "$latest")" \
-        "(not a gate failure; see README on interpreting BENCH compares)" >&2
-    fi
-  fi
-  rm -rf "$bench_dir"
+stage_perfbench() {
+  # Builds into build-perfbench/ (gitignored) instead of perfbench's default
+  # .bench_build/, so the gate never touches a developer's benchmark results.
+  CARGO_TARGET_DIR="$SRC_DIR/build-perfbench" \
+    python3 "$SRC_DIR/perfbench/run.py" --selftest
+  CARGO_TARGET_DIR="$SRC_DIR/build-perfbench" \
+    python3 "$SRC_DIR/perfbench/run.py" \
+    --workload serve_steady --seed 1 --seconds 2 --trace 1
 }
 
 stage_serve_smoke() {
@@ -202,7 +181,7 @@ stage_sanitizer() {
 run_stage lint stage_lint
 run_stage werror stage_werror
 run_stage trace stage_trace_smoke
-run_stage bench stage_bench_smoke
+run_stage perfbench stage_perfbench
 run_stage serve stage_serve_smoke
 run_stage slo stage_slo_smoke
 run_stage wthread stage_thread_safety
@@ -213,6 +192,6 @@ run_stage ubsan stage_sanitizer undefined
 echo
 echo "==== all stages passed ===="
 for i in "${!STAGE_NAMES[@]}"; do
-  printf '  %-8s %ss\n' "${STAGE_NAMES[$i]}" "${STAGE_SECONDS[$i]}"
+  printf '  %-9s %ss\n' "${STAGE_NAMES[$i]}" "${STAGE_SECONDS[$i]}"
 done
 echo "tier-1 suite is clean under TSan, ASan and UBSan (EADRL_THREADS=$THREADS)"

@@ -265,8 +265,8 @@ void AppendServeStatsProm(const eadrl::serve::ForecastService& service,
 }
 
 int Run(const Args& args) {
-  // Train one small policy on a synthetic dataset (same recipe as the
-  // eadrl_bench predict-loop macro workload).
+  // Train one small policy on a synthetic dataset (dataset 2, 240 points,
+  // fast pool, 2 NN epochs).
   std::printf("training policy (%zu episodes, fast pool)...\n", args.episodes);
   auto series = eadrl::ts::MakeDataset(2, static_cast<int>(args.seed), 240);
   if (!series.ok()) {
@@ -450,6 +450,8 @@ int Run(const Args& args) {
               report->MeanBatchOccupancy());
   std::printf("drift events         %llu\n",
               static_cast<unsigned long long>(report->drift_events));
+  std::printf("stream wraps         %llu\n",
+              static_cast<unsigned long long>(report->stream_wraps));
   std::printf("resident sessions    %llu (created %llu, lru %llu, ttl %llu)\n",
               static_cast<unsigned long long>(stats.sessions),
               static_cast<unsigned long long>(stats.sessions_created),

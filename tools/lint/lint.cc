@@ -406,7 +406,8 @@ const std::map<std::string, std::string>& RuleCatalog() {
        "trace span names in src/ and tools/ must be declared in "
        "src/obs/spans.def"},
       {"span-registry-stale",
-       "spans.def entry that nothing in src/ or tools/ opens any more"},
+       "spans.def entry that nothing in src/ or tools/ opens any more and "
+       "no perfbench/src string literal names"},
       {"todo-tag",
        "TODO/FIXME comments must carry an owner or issue tag: TODO(tag): ..."},
       {"transpose-matmul",
@@ -1125,6 +1126,15 @@ std::set<std::string> UsedSpans(const std::string& contents) {
   return names;
 }
 
+std::set<std::string> StringLiterals(const std::string& contents) {
+  std::set<std::string> literals;
+  LexedFile lexed = Lexer(contents).Run();
+  for (const Token& tok : lexed.tokens) {
+    if (tok.kind == TokKind::kString) literals.insert(tok.text);
+  }
+  return literals;
+}
+
 std::vector<Finding> CheckFile(const std::string& path,
                                const std::string& contents,
                                const Config& config) {
@@ -1398,7 +1408,8 @@ std::vector<Finding> CheckSpanRegistryStaleness(
     if (used_in_src.count(name) == 0) {
       findings.push_back({spans_def_path, line, "span-registry-stale",
                           "registered span '" + name +
-                              "' is opened nowhere under src/ or tools/; "
+                              "' is opened nowhere under src/ or tools/ "
+                              "and named by no perfbench/src literal; "
                               "delete the entry or restore the span"});
     }
   }

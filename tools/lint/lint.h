@@ -107,14 +107,22 @@ std::set<std::string> EmittedEvents(const std::string& contents);
 /// Used for the span-registry staleness pass over src/.
 std::set<std::string> UsedSpans(const std::string& contents);
 
+/// Every string literal in one file. The driver adds the literals of
+/// perfbench/src/*.cc to the span-staleness pass: the benchmark records
+/// registered span names through its own recorder (`ScopedSpan(rec, "...")`,
+/// `rec->Record("...")`, `TimeLayer(rec, "...")`), not obs::Span, and
+/// eadrl_trace_check rejects its traces if an entry goes missing.
+std::set<std::string> StringLiterals(const std::string& contents);
+
 /// Registry entries nothing in src/ emits any more (`event-registry-stale`,
 /// reported against the registry file).
 std::vector<Finding> CheckRegistryStaleness(
     const std::string& events_def_path, const Config& config,
     const std::set<std::string>& emitted_in_src);
 
-/// spans.def entries nothing in src/ opens any more (`span-registry-stale`,
-/// reported against the registry file).
+/// spans.def entries absent from `used_in_src` — the names src/ and tools/
+/// open plus the perfbench/src literals (`span-registry-stale`, reported
+/// against the registry file).
 std::vector<Finding> CheckSpanRegistryStaleness(
     const std::string& spans_def_path, const Config& config,
     const std::set<std::string>& used_in_src);
